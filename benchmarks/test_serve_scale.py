@@ -90,7 +90,9 @@ def test_cluster_scale_out(benchmark, tmp_path):
     # trace arrives within a few virtual milliseconds, every shard is
     # queue-bound, and the makespan ratio measures serving capacity.
     trace = generator.poisson(rate_rps=100_000.0, num_requests=256)
-    serve = ServeConfig(timing="modeled", max_batch_size=16, max_wait_ms=2.0)
+    serve = ServeConfig(
+        timing="modeled", max_batch_size=16, max_wait_ms=2.0, refill="drain"
+    )
 
     heavy = LoadGenerator(_heavy_tail_workload(), name="serve-heavy", seed=13)
     heavy_trace = heavy.poisson(rate_rps=100_000.0, num_requests=192)
@@ -123,10 +125,10 @@ def test_cluster_scale_out(benchmark, tmp_path):
 
     # Sharding, resizing and retuning change placement, never
     # arithmetic: every report is bit-identical to the offline engine.
-    direct = list(Session(tasks=list(trace.tasks), engine="batch").align())
+    direct = list(Session(tasks=list(trace.tasks)).align())
     for report in [*sweep, resized]:
         assert report.results() == direct
-    heavy_direct = list(Session(tasks=list(heavy_trace.tasks), engine="batch").align())
+    heavy_direct = list(Session(tasks=list(heavy_trace.tasks)).align())
     for report in elastic:
         assert report.results() == heavy_direct
 
@@ -232,7 +234,9 @@ def test_cluster_replay_determinism(benchmark):
     generator = LoadGenerator(tasks, name="serve-scale-det", seed=9)
     trace = generator.poisson(rate_rps=50_000.0, num_requests=96)
     config = ClusterConfig(
-        serve=ServeConfig(timing="modeled", max_batch_size=16, max_wait_ms=2.0),
+        serve=ServeConfig(
+            timing="modeled", max_batch_size=16, max_wait_ms=2.0, refill="drain"
+        ),
         shards=4,
     )
 

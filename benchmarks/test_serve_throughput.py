@@ -52,7 +52,9 @@ def test_microbatch_serving_throughput(benchmark, tmp_path):
     # both drains are queue-bound and the makespan ratio measures pure
     # serving capacity, not arrival spacing.
     trace = generator.poisson(rate_rps=20_000.0, num_requests=160)
-    config = ServeConfig(timing="measured", max_batch_size=32, max_wait_ms=2.0)
+    config = ServeConfig(
+        timing="measured", max_batch_size=32, max_wait_ms=2.0, refill="drain"
+    )
 
     def run():
         micro = replay(trace, config, policy="microbatch")
@@ -62,7 +64,7 @@ def test_microbatch_serving_throughput(benchmark, tmp_path):
     micro, single = benchmark.pedantic(run, rounds=1, iterations=1)
 
     # Served results are bit-identical to direct engine scoring.
-    direct = align_tasks(list(trace.tasks), engine="batch")
+    direct = align_tasks(list(trace.tasks))
     assert micro.results() == direct
     assert single.results() == direct
 
@@ -94,7 +96,7 @@ def test_continuous_refill_occupancy_and_latency(benchmark, tmp_path):
     """Continuous lane refill beats drain-then-form on a bursty trace.
 
     The streaming acceptance study: the same bursty trace is served by
-    the ``batch-sliced`` engine twice under modeled timing -- once with
+    the ``vector`` engine twice under modeled timing -- once with
     continuous refill (freed lanes re-admitted at slice boundaries) and
     once draining each batch to empty before forming the next.  The
     refilled drain must hold >= 1.2x the mean lane occupancy with a
@@ -121,9 +123,7 @@ def test_continuous_refill_occupancy_and_latency(benchmark, tmp_path):
         tasks.append(AlignmentTask(ref=ref, query=query, scoring=scoring, task_id=t))
     generator = LoadGenerator(tasks, name="serve-bursty", seed=7)
     trace = generator.bursty(6_000.0, 192, on_ms=4.0, off_ms=6.0, seed=11)
-    config = ServeConfig(
-        engine="batch-sliced", timing="modeled", max_batch_size=16, max_wait_ms=2.0
-    )
+    config = ServeConfig(timing="modeled", max_batch_size=16, max_wait_ms=2.0)
     assert config.policy_name == "continuous"
 
     def run():
@@ -134,7 +134,7 @@ def test_continuous_refill_occupancy_and_latency(benchmark, tmp_path):
     continuous, drained = benchmark.pedantic(run, rounds=1, iterations=1)
 
     # Served results are bit-identical to the one-shot public API.
-    direct = Session(tasks=list(trace.tasks), engine="batch-sliced").align()
+    direct = Session(tasks=list(trace.tasks)).align()
     assert continuous.results() == list(direct.results)
     assert drained.results() == list(direct.results)
 
@@ -146,7 +146,7 @@ def test_continuous_refill_occupancy_and_latency(benchmark, tmp_path):
     record = serve_bench_record([continuous, drained], baseline="microbatch")
     save_record(record, tmp_path)
     print_figure(
-        "Continuous refill vs drain-then-form (bursty trace, batch-sliced)",
+        "Continuous refill vs drain-then-form (bursty trace, vector)",
         ["policy", "makespan_ms", "mean_lane_occ", "slices", "refills", "p99_ms"],
         [
             [
@@ -184,7 +184,8 @@ def test_latency_throughput_tradeoff(benchmark):
         times = {}
         for wait_ms in (0.5, 4.0):
             config = ServeConfig(
-                timing="measured", max_batch_size=32, max_wait_ms=wait_ms
+                timing="measured", max_batch_size=32, max_wait_ms=wait_ms,
+                refill="drain",
             )
             times[wait_ms] = replay(trace, config).makespan_ms
         return times

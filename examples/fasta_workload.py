@@ -70,7 +70,7 @@ def main() -> None:
         print("registered workloads:", ", ".join(workload_names()))
 
         # --- align with batch-scale CIGAR emission -----------------------
-        session = Session(dataset="example-fasta", engine="batch-sliced")
+        session = Session(dataset="example-fasta")
         outcome = session.align(cigars=True)
         print(f"\n{len(outcome.scores)} tasks scored; first three with CIGARs:")
         for tb in outcome.cigars[:3]:

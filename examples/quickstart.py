@@ -3,7 +3,7 @@
 
 Builds two task pairs -- a noisy copy of a reference segment and a fully
 divergent pair -- scores them in one call through a :class:`repro.api.Session`
-(struct-of-arrays batch engine by default), shows the score, the
+(struct-of-arrays vector engine by default), shows the score, the
 termination behaviour and the reconstructed CIGAR, and demonstrates that
 the divergent pair is cut short by the Z-drop condition.
 
@@ -43,7 +43,7 @@ def main() -> None:
     ]
 
     # One configured session, one call: the whole workload is scored by
-    # the registered "batch" engine (swap engine="scalar" for the oracle).
+    # the registered "vector" engine (swap engine="scalar" for the oracle).
     session = Session(tasks=tasks)
     outcome = session.align()
     result, divergent = outcome.results

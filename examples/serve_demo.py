@@ -52,7 +52,9 @@ def main() -> None:
     # --- 2. deterministic replay: micro-batching vs one-by-one ---------
     generator = LoadGenerator(tasks, name="demo", seed=3)
     trace = generator.poisson(rate_rps=1500.0, num_requests=96)
-    config = ServeConfig(timing="modeled", max_batch_size=16, max_wait_ms=3.0)
+    config = ServeConfig(
+        timing="modeled", max_batch_size=16, max_wait_ms=3.0, refill="drain"
+    )
     micro = replay(trace, config, policy="microbatch")
     single = replay(trace, config.replace(max_batch_size=1), policy="batch1")
 

@@ -72,7 +72,6 @@ _EXPORTS = {
     "get_kernel": "repro.api",
     "get_suite": "repro.api",
     "engine_names": "repro.api",
-    "unavailable_engines": "repro.api",
     "supports_streaming": "repro.api",
     "open_batch": "repro.api",
     "EngineOptions": "repro.api",
@@ -180,7 +179,6 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis view of the lazy exports
         kernel_names,
         open_batch,
         register_engine,
-        unavailable_engines,
         register_kernel,
         register_suite,
         suite_names,

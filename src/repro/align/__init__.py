@@ -34,11 +34,12 @@ The modules are organised bottom-up:
     result as the oracle plus the per-anti-diagonal metadata (local maxima,
     cells per anti-diagonal, termination point) that the GPU scheduling
     simulation needs.
-``batch``
-    The struct-of-arrays batch engine: packs whole buckets of tasks into
+``vector``
+    The struct-of-arrays engine: packs whole buckets of tasks into
     padded 2-D buffers and sweeps the banded DP across all of them at
-    once (inter-task parallelism on top of the anti-diagonal kind),
-    bit-identical to the per-task engines.
+    once with whole-array NumPy operations (inter-task parallelism on
+    top of the anti-diagonal kind), compacting finished tasks out at
+    slice boundaries; bit-identical to the per-task engines.
 ``blocks``
     8x8 cell block decomposition of the banded score table (the smallest
     unit of work distribution on the GPU, Figure 2a).
@@ -72,11 +73,12 @@ from repro.align.termination import (
 )
 from repro.align.reference import reference_align
 from repro.align.antidiagonal import antidiagonal_align
-from repro.align.batch import (
+from repro.align.vector import (
     DEFAULT_BUCKET_SIZE,
     TaskBatch,
+    VectorStream,
     pack_tasks,
-    batch_align,
+    vector_align,
 )
 from repro.align.packing import pack_sequence, unpack_sequence, PackedSequence
 from repro.align.blocks import BlockGrid
@@ -106,7 +108,8 @@ __all__ = [
     "DEFAULT_BUCKET_SIZE",
     "TaskBatch",
     "pack_tasks",
-    "batch_align",
+    "VectorStream",
+    "vector_align",
     "pack_sequence",
     "unpack_sequence",
     "PackedSequence",

@@ -1,8 +1,7 @@
 """The streaming engine contract: in-flight batches with lane refill.
 
-The sliced batch engines (:mod:`repro.align.batch`,
-:mod:`repro.align.vector`) compact terminated tasks out of their
-struct-of-arrays buffers at every slice boundary -- but a one-shot
+The sliced vector engine (:mod:`repro.align.vector`) compacts terminated
+tasks out of its struct-of-arrays buffers at every slice boundary -- but a one-shot
 ``align_tasks`` call lets the freed width go unused for the rest of the
 sweep.  This module defines the contract that lets a *scheduler* reclaim
 it: an :class:`InFlightBatch` is a resumable sweep that can be advanced
@@ -13,13 +12,12 @@ continuous batching in LLM inference servers.
 
 Three parties implement or consume the contract:
 
-* ``BatchStream`` (:mod:`repro.align.batch`) and ``VectorStream``
-  (:mod:`repro.align.vector`) are the real streaming sweeps; their
-  one-shot engines (``batch_align`` / ``vector_align``) are now thin
-  open-all-then-drain wrappers, so every existing bit-exactness test
-  also pins the streams.
-* :class:`OneShotBatch` adapts any plain engine callable -- ``scalar``,
-  ``batch``, or a third-party :func:`repro.api.register_engine` backend
+* ``VectorStream`` (:mod:`repro.align.vector`) is the real streaming
+  sweep; its one-shot engine (``vector_align``) is a thin
+  open-all-then-drain wrapper, so every bit-exactness test also pins
+  the stream.
+* :class:`OneShotBatch` adapts any plain engine callable -- ``scalar``
+  or a third-party :func:`repro.api.register_engine` backend
   -- to the same interface with drain-then-form semantics: ``step()``
   scores everything admitted so far in one engine call.  Schedulers can
   therefore hold any engine behind one handle type.
@@ -149,7 +147,7 @@ class InFlightBatch(Protocol):
 class OneShotBatch:
     """Adapter: a plain one-shot engine behind the streaming interface.
 
-    ``scalar``, ``batch`` and third-party engines registered through
+    ``scalar`` and third-party engines registered through
     :func:`repro.api.register_engine` stay ordinary callables; this
     adapter lets schedulers drive them through the same handle as a real
     stream.  The semantics are drain-then-form: every ``step()`` scores

@@ -317,8 +317,8 @@ def batch_traceback(
     """Reconstruct CIGARs for a whole scored workload, in task order.
 
     This is the CIGAR-emission companion to the score-only engines: the
-    batch engines race through a workload computing scores, then the few
-    alignments the caller actually wants rendered are replayed here one
+    struct-of-arrays engine races through a workload computing scores,
+    then the few alignments the caller actually wants rendered are replayed here one
     at a time through the band-limited traceback (the Minimap2 split the
     module docstring describes, at batch scale).
 

@@ -1,118 +1,311 @@
-"""Vectorized whole-array anti-diagonal engine (the ``vector`` backend).
+"""The struct-of-arrays alignment engine (the ``vector`` backend).
 
-The batch engine (:mod:`repro.align.batch`) already lays a bucket of
-tasks out as struct-of-arrays buffers and advances all of them one
-anti-diagonal at a time -- but inside each anti-diagonal it still pays
-seven ``take_along_axis`` gathers (H/E/F at three shifted positions plus
-the sequence codes) and recomputes the band geometry, the edge masks and
-the substitution lookups from scratch, every single anti-diagonal.  On
-realistic guided workloads those gathers and rebuilt masks are roughly
-half of the sweep's wall-clock.
+:func:`repro.align.antidiagonal.antidiagonal_align` vectorises *within*
+one task; this module adds the second axis of parallelism the paper's
+kernels exploit: *inter-task* parallelism.  A bucket of tasks is packed
+into struct-of-arrays buffers (:func:`pack_tasks`: the GASAL2-style
+batch interface -- padded 2-D code matrices plus per-task length,
+geometry, gap-penalty and termination vectors) and the banded wavefront
+sweep advances **all tasks of a bucket simultaneously**, one whole-array
+operation per anti-diagonal.
 
-This module removes them.  The key observation is that the in-band row
-window only ever *slides*: between consecutive anti-diagonals the lower
-row bound ``j_lo`` grows by 0 or 1 (each term of its ``max`` is
-non-decreasing and grows by at most one), so the previous wavefront can
-be read through one of two *shifted views* of a guard-padded buffer
-instead of a gather -- and the two-back H wavefront through one of three.
-Everything that depends only on the band geometry -- row windows, shift
-selectors, lane masks, matrix-edge positions and the substitution scores
-of every in-band cell -- is precomputed for a whole *panel* of
-anti-diagonals in one set of array operations, so the per-anti-diagonal
-step is reduced to a handful of whole-array ``int64`` ufunc calls:
-shifted-view selects, the E/F/H maxima, the masked store, one ``argmax``
-for max-cell tracking and the vectorized Z-drop/X-drop update.
+Bucketing
+---------
+Tasks of wildly different sizes would waste padded lanes, so a workload
+is first split into size-homogeneous buckets with
+:func:`repro.core.uneven_bucketing.length_bucket_order` (sorted by
+anti-diagonal count, the quantity that bounds sweep length).  This is the
+SIMD mirror image of the paper's uneven bucketing: warps want *mixed*
+workloads so rejoining can balance them, a data-parallel batch wants
+*matched* workloads so padding is cheap.
+
+Shifted views and panels
+------------------------
+The in-band row window only ever *slides*: between consecutive
+anti-diagonals the lower row bound ``j_lo`` grows by 0 or 1 (each term
+of its ``max`` is non-decreasing and grows by at most one), so the
+previous wavefront is read through one of two *shifted views* of a
+guard-padded buffer instead of a gather -- and the two-back H wavefront
+through one of three.  Everything that depends only on the band geometry
+-- row windows, shift selectors, lane masks, matrix-edge positions and
+the substitution scores of every in-band cell -- is precomputed for a
+whole *panel* of anti-diagonals in one set of array operations, so the
+per-anti-diagonal step is reduced to a handful of whole-array integer
+ufunc calls: shifted-view selects, the E/F/H maxima, the masked store,
+one ``argmax`` for max-cell tracking and the vectorised Z-drop/X-drop
+update.
 
 Exactness
 ---------
-The arithmetic is the batch engine's arithmetic in the batch engine's
-order; scores, maximum cells, termination anti-diagonals, work counters
-and per-anti-diagonal profiles are bit-identical to
-:func:`repro.align.batch.batch_align` and therefore to the scalar
-oracle (``tests/align/test_vector.py`` pins all of it, including a
-hypothesis property suite).  In particular:
+The engine performs the scalar sweep's integer arithmetic in the scalar
+sweep's order, so scores, maximum cells, termination anti-diagonals, work
+counters and per-anti-diagonal profiles are bit-identical to
+:func:`repro.align.antidiagonal.antidiagonal_align` and the
+:func:`repro.align.reference.reference_align` oracle
+(``tests/align/test_batch.py`` and ``tests/align/test_vector.py`` pin all
+of it, including hypothesis property suites).  In particular:
 
-* stored E/F/H lanes are masked to the live lane window, which is
-  exactly equivalent to the batch engine's count-bounded gathers;
+* stored E/F/H lanes are masked to the live lane window, so a lane
+  outside a task's band never contributes;
 * guard columns on both sides of every buffer stay ``NEG_INF``, so a
-  shifted view that peeks one lane outside the stored window reads the
-  same ``NEG_INF`` the gather's bounds check would produce;
+  shifted view that peeks one lane outside the stored window reads
+  ``NEG_INF``, exactly like the scalar engine's bounds-checked gathers;
 * the termination condition is evaluated every anti-diagonal against
   the pre-update global maximum, like the scalar engine.
 
-Sliced compaction
------------------
-``slice_width`` works exactly as in the batch engine: the sweep is cut
-with :func:`repro.core.sliced_diagonal.slice_ranges` and terminated or
-completed tasks are compacted out of the buffers at every slice
-boundary.  The ``vector`` engine registered in :mod:`repro.api.engines`
-compacts every :data:`~repro.align.batch.DEFAULT_SLICE_WIDTH`
-anti-diagonals, like ``batch-sliced``.
+Every task carries its own Z-drop / X-drop parameters; a task whose
+condition fires drops out of the active lane mask while the rest of its
+bucket keeps sweeping.
 
-Optional dependency
--------------------
-NumPy for this engine is an *optional* extra (``pip install
-agatha-repro[vector]``).  Importing this module without NumPy raises
-``ImportError``; :mod:`repro.api.engines` catches it and simply skips
-registration, so a NumPy-less install keeps every other entry point
-working and reports the engine as unavailable by name
-(:func:`repro.api.engines.unavailable_engines`).  Setting the
-environment variable ``REPRO_NO_VECTOR=1`` forces the same ImportError
-path on installs that do have NumPy -- CI uses it to exercise the
-fallback on every PR.
+Sliced termination and lane compaction
+--------------------------------------
+Masking a terminated task hides it from the arithmetic but not from the
+*buffers*.  With ``slice_width`` set (the default,
+:data:`DEFAULT_SLICE_WIDTH`) the sweep is cut into slices with the slice
+geometry of the GPU-side simulator
+(:func:`repro.core.sliced_diagonal.slice_ranges`), and at every slice
+boundary terminated and completed tasks are *compacted* out of the
+buffers: survivors are re-packed into fewer rows and the lane axis
+shrinks to the widest surviving band -- the data-parallel analogue of
+the paper's sliced termination (Section 4.2) and subwarp rejoining
+(Section 4.3).  ``slice_width=None`` is the dense sweep, which keeps a
+bucket's buffers at full size until its last task finishes; the two
+differ in wall-clock only (``benchmarks/test_vector_engine.py``
+measures the ablation).
+
+Streaming
+---------
+The sweep is a resumable stream (:class:`VectorStream`, implementing the
+:class:`repro.align.streaming.InFlightBatch` contract): every task
+carries its own anti-diagonal offset, so a task admitted at any slice
+boundary sweeps exactly as if it had started a fresh batch.
+:func:`vector_align` is the open-everything-then-drain wrapper.
 """
 
 from __future__ import annotations
 
-import os
+from dataclasses import dataclass
 from typing import Dict, List, Literal, Optional, Sequence, Tuple, Union, overload
 
-if os.environ.get("REPRO_NO_VECTOR"):
-    raise ImportError(
-        "repro.align.vector is disabled (REPRO_NO_VECTOR is set, simulating "
-        "an install without the optional [vector] extra)"
-    )
-
-try:
-    import numpy as np
-except ImportError as exc:  # pragma: no cover - exercised via REPRO_NO_VECTOR
-    raise ImportError(
-        "repro.align.vector requires NumPy; install the optional extra with "
-        "pip install agatha-repro[vector]"
-    ) from exc
+import numpy as np
 
 from repro.align.banding import BandGeometry
-from repro.align.batch import (
-    DEFAULT_SLICE_WIDTH,
-    TaskBatch,
-    _lane_bounds,
-    _TERM_XDROP,
-    _TERM_ZDROP,
-    _TERMINATION_KINDS,
-    pack_tasks,
-)
 from repro.align.streaming import SliceStats
 from repro.align.termination import NEG_INF
 from repro.align.types import AlignmentProfile, AlignmentResult, AlignmentTask
 from repro.core.uneven_bucketing import length_bucket_order
 
 __all__ = [
+    "DEFAULT_BUCKET_SIZE",
+    "DEFAULT_SLICE_WIDTH",
     "DEFAULT_VECTOR_BUCKET_SIZE",
+    "ENGINE_SLICE_WIDTHS",
     "PANEL_WIDTH",
+    "TaskBatch",
     "VectorStream",
+    "pack_tasks",
     "vector_align",
 ]
 
-#: Default bucket size of the ``vector`` engine.  Larger than the batch
-#: engine's 64: the per-anti-diagonal Python dispatch is amortised over
-#: the whole bucket, and the slice-boundary compaction keeps the padding
-#: waste of a big sorted bucket small.
+#: Bucket size the workflow layers (``Session``, ``ServeConfig``,
+#: ``LongReadMapper``, ``KernelConfig``) hand the engine unless told
+#: otherwise: small enough that the length spread inside one sorted
+#: bucket stays narrow.
+DEFAULT_BUCKET_SIZE: int = 64
+
+#: Bucket size of a bare :func:`vector_align` call (and of the registered
+#: engine called without options).  The per-anti-diagonal Python dispatch
+#: is amortised over the whole bucket, and the slice-boundary compaction
+#: keeps the padding waste of a big sorted bucket small.
 DEFAULT_VECTOR_BUCKET_SIZE: int = 256
+
+#: Default compaction slice width, in cell anti-diagonals: the paper's
+#: slice geometry (``slice_width`` 3 block anti-diagonals of 8x8 blocks)
+#: expressed in cells.
+DEFAULT_SLICE_WIDTH: int = 24
+
+#: Slice width implied by each name ``KernelConfig.scoring_engine``
+#: accepts: ``"vector"`` compacts every :data:`DEFAULT_SLICE_WIDTH`
+#: anti-diagonals.  The deprecated ``"batch"`` (dense) and
+#: ``"batch-sliced"`` names keep their historical widths for one release.
+ENGINE_SLICE_WIDTHS: Dict[str, Optional[int]] = {
+    "vector": DEFAULT_SLICE_WIDTH,
+    "batch": None,
+    "batch-sliced": DEFAULT_SLICE_WIDTH,
+}
 
 #: Anti-diagonals whose geometry, shift selectors, lane masks, edges and
 #: substitution scores are precomputed in one shot.  Bounds the panel
 #: buffers to ``PANEL_WIDTH x bucket x lanes`` elements.
 PANEL_WIDTH: int = 32
+
+# Per-task termination kinds (vectorised counterpart of the
+# TerminationCondition subclasses).
+_TERM_NONE = 0
+_TERM_ZDROP = 1
+_TERM_XDROP = 2
+
+_TERMINATION_KINDS = ("zdrop", "xdrop", "none")
+
+
+# ----------------------------------------------------------------------
+# packing
+# ----------------------------------------------------------------------
+@dataclass
+class TaskBatch:
+    """Struct-of-arrays packing of one bucket of alignment tasks.
+
+    All arrays share the task axis (length ``B``).  Sequences are padded
+    to the bucket maxima; per-task lengths and band diagonals delimit the
+    valid region exactly as :class:`~repro.align.banding.BandGeometry`
+    does for one task.
+    """
+
+    tasks: List[AlignmentTask]
+    ref_buf: np.ndarray  # (B, max_ref)  uint8, zero-padded
+    query_buf: np.ndarray  # (B, max_query) uint8, zero-padded
+    ref_len: np.ndarray  # (B,) int64
+    query_len: np.ndarray  # (B,) int64
+    diag_lo: np.ndarray  # (B,) int64 band diagonal range
+    diag_hi: np.ndarray  # (B,) int64
+    num_antidiagonals: np.ndarray  # (B,) int64
+    sub_stack: np.ndarray  # (S, 5, 5) int64 substitution matrices
+    scheme_idx: np.ndarray  # (B,) intp index into sub_stack
+    gap_open: np.ndarray  # (B,) int64 (alpha)
+    gap_extend: np.ndarray  # (B,) int64 (beta)
+    term_kind: np.ndarray  # (B,) uint8 (_TERM_*)
+    term_threshold: np.ndarray  # (B,) int64 (Z or X threshold)
+
+    @property
+    def size(self) -> int:
+        """Number of tasks in the batch."""
+        return len(self.tasks)
+
+    @property
+    def max_lanes(self) -> int:
+        """Widest in-band anti-diagonal of any task (the lane axis)."""
+        if self.size == 0:
+            return 0
+        lanes = _lane_bounds(self.ref_len, self.query_len, self.diag_lo, self.diag_hi)
+        return int(max(lanes.max(initial=0), 0))
+
+
+def _lane_bounds(
+    ref_len: np.ndarray,
+    query_len: np.ndarray,
+    diag_lo: np.ndarray,
+    diag_hi: np.ndarray,
+) -> np.ndarray:
+    """Per-task upper bound on in-band cells of any one anti-diagonal.
+
+    No anti-diagonal of a task holds more in-band cells than
+    ``min(ref_len, query_len, band)`` where ``band`` counts the task's
+    same-parity diagonals.  :attr:`TaskBatch.max_lanes` sizes the lane
+    axis with this bound, and the slice-boundary compaction shrinks it
+    with the same bound -- they must stay one formula, because the
+    compaction's "trimming keeps every valid lane" invariant is exactly
+    that the stored wavefront never exceeds it.
+    """
+    band = np.where(diag_hi >= diag_lo, (diag_hi - diag_lo) // 2 + 1, 0)
+    return np.minimum.reduce([ref_len, query_len, band])
+
+
+def _resolve_termination(task: AlignmentTask, kind: str) -> tuple[int, int]:
+    """Per-task (kind, threshold) mirroring ``make_termination``."""
+    scoring = task.scoring
+    if kind == "none" or not scoring.has_termination:
+        return _TERM_NONE, 0
+    if kind == "zdrop":
+        return _TERM_ZDROP, scoring.zdrop
+    return _TERM_XDROP, scoring.zdrop
+
+
+def _check_termination(termination: str) -> None:
+    if termination not in _TERMINATION_KINDS:
+        raise ValueError(
+            f"unknown termination kind {termination!r}; "
+            f"expected one of {_TERMINATION_KINDS}"
+        )
+
+
+def pack_tasks(
+    tasks: Sequence[AlignmentTask], termination: str = "zdrop"
+) -> TaskBatch:
+    """Pack ``tasks`` into one struct-of-arrays :class:`TaskBatch`.
+
+    Parameters
+    ----------
+    tasks:
+        The tasks of one bucket (ideally of similar size; see
+        :func:`repro.core.uneven_bucketing.length_bucket_order`).
+    termination:
+        ``"zdrop"`` (the exact guided algorithm), ``"xdrop"`` (LOGAN /
+        Manymap-style) or ``"none"``.  A task whose scheme has
+        ``zdrop == 0`` gets no termination regardless, exactly like
+        :func:`repro.align.termination.make_termination`.
+    """
+    _check_termination(termination)
+    tasks = list(tasks)
+    n = len(tasks)
+    max_ref = max((t.ref_len for t in tasks), default=0)
+    max_query = max((t.query_len for t in tasks), default=0)
+    ref_buf = np.zeros((n, max(max_ref, 1)), dtype=np.uint8)
+    query_buf = np.zeros((n, max(max_query, 1)), dtype=np.uint8)
+    ref_len = np.zeros(n, dtype=np.int64)
+    query_len = np.zeros(n, dtype=np.int64)
+    diag_lo = np.zeros(n, dtype=np.int64)
+    diag_hi = np.zeros(n, dtype=np.int64)
+    num_ad = np.zeros(n, dtype=np.int64)
+    gap_open = np.zeros(n, dtype=np.int64)
+    gap_extend = np.zeros(n, dtype=np.int64)
+    term_kind = np.zeros(n, dtype=np.uint8)
+    term_threshold = np.zeros(n, dtype=np.int64)
+    scheme_idx = np.zeros(n, dtype=np.intp)
+
+    schemes: dict = {}
+    sub_mats: List[np.ndarray] = []
+    for b, task in enumerate(tasks):
+        ref_buf[b, : task.ref_len] = task.ref
+        query_buf[b, : task.query_len] = task.query
+        ref_len[b] = task.ref_len
+        query_len[b] = task.query_len
+        geom = task.geometry
+        diag_lo[b] = geom.diag_lo
+        diag_hi[b] = geom.diag_hi
+        num_ad[b] = geom.num_antidiagonals
+        scoring = task.scoring
+        gap_open[b] = scoring.gap_open
+        gap_extend[b] = scoring.gap_extend
+        term_kind[b], term_threshold[b] = _resolve_termination(task, termination)
+        if scoring not in schemes:
+            schemes[scoring] = len(sub_mats)
+            sub_mats.append(scoring.substitution_matrix().astype(np.int64))
+        scheme_idx[b] = schemes[scoring]
+
+    sub_stack = (
+        np.stack(sub_mats) if sub_mats else np.zeros((1, 5, 5), dtype=np.int64)
+    )
+    return TaskBatch(
+        tasks=tasks,
+        ref_buf=ref_buf,
+        query_buf=query_buf,
+        ref_len=ref_len,
+        query_len=query_len,
+        diag_lo=diag_lo,
+        diag_hi=diag_hi,
+        num_antidiagonals=num_ad,
+        sub_stack=sub_stack,
+        scheme_idx=scheme_idx,
+        gap_open=gap_open,
+        gap_extend=gap_extend,
+        term_kind=term_kind,
+        term_threshold=term_threshold,
+    )
+
+
+# ----------------------------------------------------------------------
+# the sweep
+# ----------------------------------------------------------------------
 
 
 def _batch_bound(batch: TaskBatch) -> Dict[str, int]:
@@ -298,20 +491,21 @@ class VectorStream:
     """Resumable whole-array sweep: the ``vector`` engine's in-flight
     batch (:class:`repro.align.streaming.InFlightBatch`).
 
-    The streaming twin of :class:`repro.align.batch.BatchStream` --
-    identical contract, identical results -- with the batch engine's
-    per-lane arithmetic replaced by this module's shifted-view panel
-    sweep.  ``vector_align`` is ``VectorStream(bucket).drain()`` per
-    bucket; the serve scheduler instead holds a long-lived stream,
-    interleaving :meth:`step` with :meth:`admit` so new requests occupy
-    the lanes slice-boundary compaction freed.
+    ``vector_align`` is ``VectorStream(bucket).drain()`` per bucket; the
+    serve scheduler instead holds a long-lived stream, interleaving
+    :meth:`step` with :meth:`admit` so new requests occupy the lanes
+    slice-boundary compaction freed.
 
-    Per-task admission offsets (``start``) translate the stream's global
-    step counter into each task's local anti-diagonal count; the panel
+    Exactness hinges on one generalisation: the sweep keeps a *global*
+    step counter and per-task admission offsets (``start``) that
+    translate it into each task's local anti-diagonal count.  The panel
     precompute (:class:`_Panel`) is built on those local counts, so a
     freshly admitted task's geometry, edge costs and corner handling are
     exactly those of a fresh sweep, and its wavefront rows start
-    all-``NEG_INF``.  The ``int32`` fast path is decided from a running
+    all-``NEG_INF``.  Tasks only interact through buffer *shape* (masked
+    out of all arithmetic), so a task's results are independent of who
+    shares its buffers or when it was admitted.  The ``int32`` fast path
+    is decided from a running
     worst-case bound over every admission (:func:`_batch_bound`): a
     later admission may upcast the live buffers to ``int64``
     (value-preserving, hence exact) but never downcasts.
@@ -328,11 +522,7 @@ class VectorStream:
     ) -> None:
         if slice_width is not None and slice_width <= 0:
             raise ValueError("slice_width must be positive (or None for dense)")
-        if termination not in _TERMINATION_KINDS:
-            raise ValueError(
-                f"unknown termination kind {termination!r}; "
-                f"expected one of {_TERMINATION_KINDS}"
-            )
+        _check_termination(termination)
         if capacity is not None and capacity <= 0:
             raise ValueError("capacity must be positive")
         self._slice_width = slice_width
@@ -392,7 +582,7 @@ class VectorStream:
         # Guard-padded wavefront buffers: lane l of anti-diagonal c-1
         # (ha) and c-2 (hb) lives in column l+1; columns 0 and width+1
         # stay NEG_INF so shifted views that step outside the window
-        # read NEG_INF, exactly like the batch engine's bounds-checked
+        # read NEG_INF, exactly like the scalar engine's bounds-checked
         # gathers.  E and F are stored pre-combined with their H
         # alternative -- ``ge = max(H - open, E - extend)`` and ``gf =
         # max(H - open, F - extend)`` -- so the next anti-diagonal
@@ -881,8 +1071,8 @@ class VectorStream:
                 l_bj = np.where(improve, local_j, l_bj)
 
                 # Advance: the two-back H buffer becomes this
-                # anti-diagonal's store (masked, like the batch engine's
-                # count-bounded reads) and the roles swap; E/F are stored
+                # anti-diagonal's store (masked to the live lane window)
+                # and the roles swap; E/F are stored
                 # pre-combined with H so the next anti-diagonal reads one
                 # buffer per direction.
                 hb[:, 1:-1] = h_m
@@ -1016,12 +1206,27 @@ def vector_align(
 ) -> Union[List[AlignmentResult], List[AlignmentProfile]]:
     """Align every task with the whole-array vector engine.
 
-    Same contract as :func:`repro.align.batch.batch_align` -- tasks are
-    bucketed by anti-diagonal count, every bucket is swept at once, and
-    the outputs come back in input order, bit-identical to the batch
-    engine and the scalar oracle.  Only the defaults differ: buckets are
-    larger (:data:`DEFAULT_VECTOR_BUCKET_SIZE`) and sliced compaction is
-    on by default (pass ``slice_width=None`` for a dense sweep).
+    Tasks are bucketed by anti-diagonal count (so the padded sweep wastes
+    little work), each bucket is packed with :func:`pack_tasks` and swept
+    in one go, and the outputs are returned **in input order**,
+    bit-identical to :func:`repro.align.antidiagonal.antidiagonal_align`
+    run per task with the matching termination condition.
+
+    Parameters
+    ----------
+    tasks:
+        Any mix of sizes and scoring schemes.
+    termination:
+        ``"zdrop"`` / ``"xdrop"`` / ``"none"`` (per-task thresholds come
+        from each task's scoring scheme).
+    bucket_size:
+        Maximum tasks swept simultaneously.
+    return_profiles:
+        Return :class:`AlignmentProfile` objects (with per-anti-diagonal
+        maxima and cell counts) instead of plain results.
+    slice_width:
+        Anti-diagonals between compaction points (see the module
+        docstring), or ``None`` for the dense sweep.
     """
     if slice_width is not None and slice_width <= 0:
         raise ValueError("slice_width must be positive (or None for dense)")

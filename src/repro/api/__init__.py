@@ -5,7 +5,7 @@ three extension registries::
 
     from repro.api import Session
 
-    session = Session(dataset="ONT-HG002")      # engine="batch", suite="mm2"
+    session = Session(dataset="ONT-HG002")      # engine="vector", suite="mm2"
     outcome = session.align()                   # AlignmentOutcome
     table = session.compare()                   # ComparisonOutcome
     record = session.run_figure("quick")        # BenchRecord
@@ -43,7 +43,7 @@ pieces (:class:`AdmissionController`, :class:`RequestRejected`,
 Everything exported here is covered by the public-API snapshot test
 (``tests/api/test_public_surface.py``) and the deprecation policy: old
 entry points keep working for one release as shims that emit a single
-``DeprecationWarning`` and delegate to this package.
+``DeprecationWarning`` and delegate to this package, then are removed.
 """
 
 from repro.api.registry import Registry, RegistryError
@@ -60,7 +60,6 @@ from repro.api.engines import (
     open_batch,
     register_engine,
     supports_streaming,
-    unavailable_engines,
 )
 from repro.api.suites import (
     ABLATION_LADDER,
@@ -163,7 +162,6 @@ __all__ = [
     "register_engine",
     "get_engine",
     "engine_names",
-    "unavailable_engines",
     "supports_streaming",
     "open_batch",
     "register_kernel",

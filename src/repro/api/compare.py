@@ -1,8 +1,6 @@
 """Kernel-vs-CPU comparison: the one implementation behind every caller.
 
-This is the logic that used to live in
-``repro.pipeline.experiment.compare_kernels`` (now a deprecation shim):
-time the CPU anchor once, simulate every kernel of a suite over the same
+Time the CPU anchor once, simulate every kernel of a suite over the same
 workload, and report each launch summary extended with its speedup over
 the CPU.  The sharded bench workers (:func:`repro.bench.runner.run_cell`)
 and :meth:`repro.api.Session.compare` both call this function, so the
@@ -37,8 +35,8 @@ def compare_suite(
     ``device`` / ``cpu`` default to the scaled hardware pair (see
     DESIGN.md); ``cpu_aligner`` defaults to the Minimap2 CPU model and
     can be swapped for e.g. :class:`repro.baselines.aligner.BwaMemCpuAligner`.
-    The arithmetic is identical to the legacy ``compare_kernels``
-    (``ComparisonOutcome.to_dict()`` reproduces its mapping bit for bit).
+    ``ComparisonOutcome.to_dict()`` is the plain ``name -> summary``
+    mapping with the CPU anchor under ``"CPU"``.
 
     Examples
     --------
@@ -58,7 +56,7 @@ def compare_suite(
     True
     """
     if device is None or cpu is None:
-        # Imported lazily: pipeline.experiment's shims import repro.api.
+        # Imported lazily: repro.pipeline imports repro.api.
         from repro.pipeline.experiment import scaled_hardware
 
         scaled_device, scaled_cpu = scaled_hardware()

@@ -1,31 +1,24 @@
 """The alignment-engine registry: name-keyed workload scoring backends.
 
 An *engine* scores a whole workload of :class:`AlignmentTask` objects and
-returns one :class:`AlignmentResult` per task, in task order.  Three
+returns one :class:`AlignmentResult` per task, in task order.  Two
 engines are built in:
 
 ``"scalar"``
     One banded wavefront sweep per task (the oracle path).
-``"batch"``
-    The struct-of-arrays batch engine (:mod:`repro.align.batch`):
-    buckets of tasks swept simultaneously, bit-identical to the scalar
-    engine and several times faster (DESIGN.md).
-``"batch-sliced"``
-    The batch engine with sliced early termination: the sweep compacts
-    terminated tasks out of its buffers every
-    :data:`~repro.align.batch.DEFAULT_SLICE_WIDTH` anti-diagonals, so
-    heterogeneous early-terminating workloads skip the post-termination
-    padding work.  Bit-identical to both other engines
-    (docs/ENGINES.md).
 ``"vector"``
-    The whole-array NumPy engine (:mod:`repro.align.vector`): panels of
-    anti-diagonals precomputed in one shot, shifted-view H/E/F updates,
-    sliced compaction like ``batch-sliced`` -- bit-identical to every
-    other engine and several times faster than ``batch``.  Registered
-    only when NumPy is importable: NumPy is the optional ``[vector]``
-    extra, and a NumPy-less install simply lacks the name
-    (:func:`unavailable_engines` reports it, and :func:`get_engine`
-    mentions the extra in its error).
+    The struct-of-arrays engine (:mod:`repro.align.vector`, the
+    default): buckets of tasks swept simultaneously with whole-array
+    NumPy operations, terminated and completed tasks compacted out of
+    the buffers every :data:`~repro.align.vector.DEFAULT_SLICE_WIDTH`
+    anti-diagonals.  Bit-identical to ``"scalar"`` and many times
+    faster (docs/ENGINES.md).
+
+``"batch"`` and ``"batch-sliced"`` name the retired pure-Python batch
+sweep.  They stay registered for one release as deprecated aliases of
+the vector engine (dense and sliced respectively): each scoring call
+through them emits one :class:`DeprecationWarning` and returns
+bit-identical results.
 
 New backends register under a name and immediately become usable by
 :class:`repro.api.Session`, :class:`repro.pipeline.mapper.LongReadMapper`
@@ -35,34 +28,26 @@ and anything else that resolves engines by name::
     def my_backend(tasks, *, batch_size=DEFAULT_BUCKET_SIZE):
         return [...]
 
-This replaces the old boolean plumbing (``align_workload(batched=...)``,
-``LongReadMapper(batched=...)``) that could only ever express two
-backends.
-
 Two orthogonal extensions sit on top of the name-keyed callable:
 
 * **Typed options.**  :class:`EngineOptions` bundles the per-engine
-  tuning knobs (``batch_size``, ``slice_width``) that used to travel as
-  scattered keyword arguments; unset fields defer to each engine's own
-  defaults, and :func:`align_tasks`/:class:`repro.api.Session` accept
-  ``options=`` everywhere they used to take ``batch_size=`` (the old
-  keyword still works behind a single :class:`DeprecationWarning`).
+  tuning knobs (``batch_size``, ``slice_width``); unset fields defer to
+  each engine's own defaults, and :func:`align_tasks`/:class:`Session`
+  take them as ``options=``.
 * **Streaming.**  Engines whose sweep can pause at slice boundaries
   register an ``open_batch`` factory; :func:`open_batch` returns their
   :class:`~repro.align.streaming.InFlightBatch` handle, and
   :func:`supports_streaming` reports the capability.  Engines without
-  the factory (``scalar``, ``batch``, third-party backends) are served
-  through the :class:`~repro.align.streaming.OneShotBatch` adapter, so
-  every registered name can sit behind the same handle type.
+  the factory (``scalar``, third-party backends) are served through the
+  :class:`~repro.align.streaming.OneShotBatch` adapter, so every
+  registered name can sit behind the same handle type.
 
 One deliberate exception: kernel profile priming
 (``KernelConfig.scoring_engine``) does not resolve through this
-registry.  Profiles require the batch machinery's ``return_profiles``
+registry.  Profiles require the vector engine's ``return_profiles``
 path, which arbitrary registered engines cannot provide, so that knob
 accepts only the closed set in
-:data:`repro.align.batch.ENGINE_SLICE_WIDTHS` -- re-registering
-``"batch-sliced"`` here changes :class:`Session`/serving behaviour but
-never what primes kernel profiles (docs/ENGINES.md).
+:data:`repro.align.vector.ENGINE_SLICE_WIDTHS` (docs/ENGINES.md).
 """
 
 from __future__ import annotations
@@ -73,15 +58,16 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.align.antidiagonal import antidiagonal_align
-from repro.align.batch import (
-    DEFAULT_BUCKET_SIZE,
-    DEFAULT_SLICE_WIDTH,
-    BatchStream,
-    batch_align,
-)
 from repro.align.streaming import InFlightBatch, OneShotBatch, SliceStats
 from repro.align.traceback import TracebackResult, batch_traceback
 from repro.align.types import AlignmentResult, AlignmentTask
+from repro.align.vector import (
+    DEFAULT_BUCKET_SIZE,
+    DEFAULT_SLICE_WIDTH,
+    DEFAULT_VECTOR_BUCKET_SIZE,
+    VectorStream,
+    vector_align,
+)
 from repro.api.registry import Registry
 
 __all__ = [
@@ -94,7 +80,6 @@ __all__ = [
     "register_engine",
     "get_engine",
     "engine_names",
-    "unavailable_engines",
     "supports_streaming",
     "open_batch",
     "align_tasks",
@@ -103,7 +88,7 @@ __all__ = [
 #: Signature every engine implements: ``(tasks, *, batch_size) -> results``.
 AlignmentEngine = Callable[..., List[AlignmentResult]]
 
-#: The engine registry.  ``"scalar"`` and ``"batch"`` are built in.
+#: The engine registry.  ``"scalar"`` and ``"vector"`` are built in.
 ENGINES: Registry[AlignmentEngine] = Registry("engine")
 
 #: Option fields an engine accepts when its registration declares none.
@@ -112,16 +97,16 @@ _DEFAULT_OPTION_PARAMS: Tuple[str, ...] = ("batch_size",)
 
 @dataclass(frozen=True)
 class EngineOptions:
-    """Typed per-engine tuning options (the former keyword sprawl).
+    """Typed per-engine tuning options.
 
-    One frozen bundle replaces the ``batch_size=`` / ``slice_width=``
-    keywords that Session, ServeConfig and the bench/serve CLIs each
-    defaulted separately.  Every field is optional: ``None`` means "the
-    engine's own default", so an empty ``EngineOptions()`` reproduces
-    exactly what calling the engine with no keywords would do, and
-    options written for one engine work on another that understands
-    fewer knobs (unknown fields are simply not forwarded -- each
-    engine's registration declares which fields it accepts).
+    One frozen bundle carries the ``batch_size`` / ``slice_width`` knobs
+    that Session, ServeConfig and the bench/serve CLIs hand to engines.
+    Every field is optional: ``None`` means "the engine's own default",
+    so an empty ``EngineOptions()`` reproduces exactly what calling the
+    engine with no keywords would do, and options written for one engine
+    work on another that understands fewer knobs (unknown fields are
+    simply not forwarded -- each engine's registration declares which
+    fields it accepts).
 
     >>> EngineOptions(batch_size=32).engine_kwargs(("batch_size", "slice_width"))
     {'batch_size': 32}
@@ -182,37 +167,13 @@ def register_engine(
 
 
 def get_engine(name: str) -> AlignmentEngine:
-    """Resolve an engine by name (KeyError lists the registered names).
-
-    Asking for an engine that exists but could not be registered because
-    its optional dependency is missing gets a KeyError that says how to
-    install it, not just the list of available names.
-    """
-    try:
-        return ENGINES.get(name)
-    except KeyError:
-        if name in _UNAVAILABLE:
-            raise KeyError(
-                f"engine {name!r} is known but unavailable: {_UNAVAILABLE[name]}"
-            ) from None
-        raise
+    """Resolve an engine by name (KeyError lists the registered names)."""
+    return ENGINES.get(name)
 
 
 def engine_names() -> Tuple[str, ...]:
     """Registered engine names in registration order."""
     return ENGINES.names()
-
-
-def unavailable_engines() -> dict[str, str]:
-    """Known engines that failed to register, mapped to the reason.
-
-    Today this covers exactly the optional-dependency path: on an
-    install without NumPy (the ``[vector]`` extra) the ``"vector"``
-    engine is absent from :func:`engine_names` and shows up here with
-    the ImportError text explaining how to enable it.  Empty when every
-    built-in engine registered.
-    """
-    return dict(_UNAVAILABLE)
 
 
 # ----------------------------------------------------------------------
@@ -228,22 +189,14 @@ def scalar_engine(
     ]
 
 
-@register_engine("batch")
-def batch_engine(
-    tasks: Sequence[AlignmentTask], *, batch_size: int = DEFAULT_BUCKET_SIZE
-) -> List[AlignmentResult]:
-    """Struct-of-arrays batch engine; bit-identical to ``"scalar"``."""
-    return batch_align(tasks, bucket_size=batch_size)
-
-
-def _open_sliced_batch(
+def _open_vector_batch(
     tasks: Sequence[AlignmentTask],
     *,
     capacity: Optional[int] = None,
     options: EngineOptions,
-) -> BatchStream:
-    """Streaming factory for ``"batch-sliced"``: a refillable BatchStream."""
-    return BatchStream(
+) -> VectorStream:
+    """Streaming factory for ``"vector"``: a refillable VectorStream."""
+    return VectorStream(
         tasks,
         capacity=capacity,
         slice_width=(
@@ -252,6 +205,50 @@ def _open_sliced_batch(
             else DEFAULT_SLICE_WIDTH
         ),
     )
+
+
+@register_engine(
+    "vector",
+    option_params=("batch_size", "slice_width"),
+    open_batch=_open_vector_batch,
+)
+def vector_engine(
+    tasks: Sequence[AlignmentTask],
+    *,
+    batch_size: int = DEFAULT_VECTOR_BUCKET_SIZE,
+    slice_width: int = DEFAULT_SLICE_WIDTH,
+) -> List[AlignmentResult]:
+    """Whole-array struct-of-arrays engine; bit-identical to ``"scalar"``."""
+    return vector_align(tasks, bucket_size=batch_size, slice_width=slice_width)
+
+
+def _warn_deprecated_engine(name: str) -> None:
+    warnings.warn(
+        f"engine {name!r} is deprecated; use engine='vector' instead "
+        "(bit-identical results)",
+        DeprecationWarning,
+        stacklevel=4,
+    )
+
+
+@register_engine("batch")
+def batch_engine(
+    tasks: Sequence[AlignmentTask], *, batch_size: int = DEFAULT_BUCKET_SIZE
+) -> List[AlignmentResult]:
+    """Deprecated alias: the dense (``slice_width=None``) vector sweep."""
+    _warn_deprecated_engine("batch")
+    return vector_align(tasks, bucket_size=batch_size, slice_width=None)
+
+
+def _open_sliced_batch(
+    tasks: Sequence[AlignmentTask],
+    *,
+    capacity: Optional[int] = None,
+    options: EngineOptions,
+) -> VectorStream:
+    """Streaming factory of the deprecated ``"batch-sliced"`` alias."""
+    _warn_deprecated_engine("batch-sliced")
+    return _open_vector_batch(tasks, capacity=capacity, options=options)
 
 
 @register_engine(
@@ -265,68 +262,9 @@ def sliced_batch_engine(
     batch_size: int = DEFAULT_BUCKET_SIZE,
     slice_width: int = DEFAULT_SLICE_WIDTH,
 ) -> List[AlignmentResult]:
-    """Batch engine with sliced early termination and lane compaction.
-
-    Same arithmetic as ``"batch"`` (and therefore ``"scalar"``); at
-    every ``slice_width`` anti-diagonals, terminated and completed
-    tasks are compacted out of the bucket's buffers so the surviving
-    tasks sweep in smaller matrices.
-    """
-    return batch_align(tasks, bucket_size=batch_size, slice_width=slice_width)
-
-
-#: Engines whose registration was skipped, mapped to the reason why.
-_UNAVAILABLE: dict[str, str] = {}
-
-try:
-    from repro.align.vector import (
-        DEFAULT_VECTOR_BUCKET_SIZE,
-        VectorStream,
-        vector_align,
-    )
-except ImportError as _vector_exc:
-    # NumPy (the optional [vector] extra) is missing: keep the
-    # pure-Python install fully working and report the engine by name.
-    _UNAVAILABLE["vector"] = str(_vector_exc)
-else:
-
-    def _open_vector_batch(
-        tasks: Sequence[AlignmentTask],
-        *,
-        capacity: Optional[int] = None,
-        options: EngineOptions,
-    ) -> "VectorStream":
-        """Streaming factory for ``"vector"``: a refillable VectorStream."""
-        return VectorStream(
-            tasks,
-            capacity=capacity,
-            slice_width=(
-                options.slice_width
-                if options.slice_width is not None
-                else DEFAULT_SLICE_WIDTH
-            ),
-        )
-
-    @register_engine(
-        "vector",
-        option_params=("batch_size", "slice_width"),
-        open_batch=_open_vector_batch,
-    )
-    def vector_engine(
-        tasks: Sequence[AlignmentTask],
-        *,
-        batch_size: int = DEFAULT_VECTOR_BUCKET_SIZE,
-        slice_width: int = DEFAULT_SLICE_WIDTH,
-    ) -> List[AlignmentResult]:
-        """Whole-array NumPy engine; bit-identical to ``"batch"``.
-
-        Same sliced compaction policy as ``"batch-sliced"``, but every
-        anti-diagonal of a bucket is evaluated with whole-array integer
-        ufuncs instead of per-lane Python loops.
-        """
-        return vector_align(
-            tasks, bucket_size=batch_size, slice_width=slice_width
-        )
+    """Deprecated alias: the sliced vector sweep."""
+    _warn_deprecated_engine("batch-sliced")
+    return vector_align(tasks, bucket_size=batch_size, slice_width=slice_width)
 
 
 # ----------------------------------------------------------------------
@@ -334,18 +272,18 @@ def supports_streaming(name: str) -> bool:
     """Whether ``open_batch(engine=name)`` returns a real streaming sweep.
 
     ``True`` for engines registered with an ``open_batch`` factory
-    (built-ins: ``"batch-sliced"`` and ``"vector"``); ``False`` for
-    engines served through the one-shot adapter.  Unknown names raise
-    the same KeyError as :func:`get_engine`.
+    (built-in: ``"vector"``); ``False`` for engines served through the
+    one-shot adapter.  Unknown names raise the same KeyError as
+    :func:`get_engine`.
     """
-    get_engine(name)  # the name-listing / missing-extra error
+    get_engine(name)  # the name-listing error
     return "open_batch" in ENGINES.meta(name)
 
 
 def open_batch(
     tasks: Sequence[AlignmentTask] = (),
     *,
-    engine: str = "batch",
+    engine: str = "vector",
     options: Optional[EngineOptions] = None,
     capacity: Optional[int] = None,
 ) -> InFlightBatch:
@@ -373,7 +311,7 @@ def open_batch(
     ...     ref=encode("ACGTACGT"), query=encode("ACGTACGT"),
     ...     scoring=preset("figure1"),
     ... )
-    >>> handle = open_batch([task], engine="batch-sliced")
+    >>> handle = open_batch([task])
     >>> [r.score for r in handle.drain()]
     [16]
     """
@@ -395,18 +333,14 @@ def open_batch(
 def align_tasks(
     tasks: Sequence[AlignmentTask],
     *,
-    engine: str = "batch",
+    engine: str = "vector",
     options: Optional[EngineOptions] = None,
-    batch_size: Optional[int] = None,
     cigars: bool = False,
 ) -> List[AlignmentResult] | List[TracebackResult]:
     """Score a workload with a named engine.
 
-    The core implementation behind :meth:`repro.api.Session.align` and
-    the deprecated ``repro.pipeline.experiment.align_workload``.
-    Tuning knobs travel as a typed :class:`EngineOptions`; the legacy
-    ``batch_size=`` keyword still works but emits one
-    ``DeprecationWarning`` per call (bit-identical behaviour).
+    The core implementation behind :meth:`repro.api.Session.align`.
+    Tuning knobs travel as a typed :class:`EngineOptions`.
 
     With ``cigars=True`` the scored tasks are additionally replayed
     through the band-limited traceback
@@ -429,25 +363,11 @@ def align_tasks(
     ... )
     >>> [r.score for r in align_tasks([task], engine="scalar")]
     [16]
-    >>> [r.score for r in align_tasks([task], engine="batch-sliced")]
+    >>> [r.score for r in align_tasks([task], engine="vector")]
     [16]
     >>> [tb.cigar.to_string() for tb in align_tasks([task], cigars=True)]
     ['8=']
     """
-    if batch_size is not None:
-        warnings.warn(
-            "align_tasks(batch_size=...) is deprecated; pass "
-            "options=EngineOptions(batch_size=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        base = options if options is not None else EngineOptions()
-        if base.batch_size is not None and base.batch_size != batch_size:
-            raise ValueError(
-                f"conflicting bucket sizes: batch_size={batch_size} vs "
-                f"options.batch_size={base.batch_size}"
-            )
-        options = base.replace(batch_size=batch_size)
     opts = options if options is not None else EngineOptions()
     fn = get_engine(engine)
     params = ENGINES.meta(engine).get("option_params", _DEFAULT_OPTION_PARAMS)

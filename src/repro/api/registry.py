@@ -26,12 +26,12 @@ class Registry(Generic[T]):
 
     Registration accepts either the decorator form::
 
-        @ENGINES.register("batch")
-        def batch_engine(tasks, *, batch_size): ...
+        @ENGINES.register("vector")
+        def vector_engine(tasks, *, batch_size): ...
 
     or the direct form::
 
-        ENGINES.register("batch", batch_engine)
+        ENGINES.register("vector", vector_engine)
 
     Registering a name twice raises :class:`RegistryError` unless
     ``replace=True`` is passed (tests and notebooks use ``replace`` /

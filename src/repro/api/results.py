@@ -4,8 +4,7 @@ The legacy entry points returned ad-hoc shapes -- bare lists,
 ``dict``-of-``dict`` summaries, ``(device, cpu)`` tuples.  The façade
 returns small frozen dataclasses instead; each one keeps a lossless
 ``to_dict()`` view that reproduces the legacy shape bit for bit, which
-is what the golden-equivalence suite pins and what the deprecation shims
-return.
+is what the golden-equivalence suite pins.
 """
 
 from __future__ import annotations
@@ -164,7 +163,7 @@ class ComparisonOutcome:
         return len(self.kernels)
 
     def to_dict(self) -> Dict[str, Dict[str, object]]:
-        """The legacy ``compare_kernels`` mapping (CPU anchor first)."""
+        """The plain ``name -> summary`` mapping (CPU anchor first)."""
         out: Dict[str, Dict[str, object]] = {"CPU": self.cpu.to_dict()}
         for name, summary in self.kernels.items():
             out[name] = summary.to_dict()

@@ -16,15 +16,14 @@ methods:
 =================  ====================================================
 
 Every method returns a typed result object (:mod:`repro.api.results`) or
-a :class:`repro.bench.records.BenchRecord`; the underlying arithmetic is
-bit-identical to the legacy entry points (the golden-equivalence suite
-pins this), because every method delegates to the same shared
-implementations the deprecation shims use.
+a :class:`repro.bench.records.BenchRecord`; every method delegates to the
+same shared implementations the free functions of :mod:`repro.api` use,
+so the two paths are bit-identical (the golden-equivalence suite pins
+this).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import (
     Any,
     Callable,
@@ -41,10 +40,10 @@ from typing import (
 
 import numpy as np
 
-from repro.align.batch import DEFAULT_BUCKET_SIZE
 from repro.align.scoring import ScoringScheme
 from repro.align.traceback import TracebackResult, batch_traceback
 from repro.align.types import AlignmentTask
+from repro.align.vector import DEFAULT_BUCKET_SIZE
 from repro.api.compare import compare_suite
 from repro.api.engines import EngineOptions, align_tasks, get_engine
 from repro.api.results import (
@@ -103,21 +102,17 @@ class Session:
         sessions (:meth:`map_reads`).  ``scoring`` may also accompany
         ``dataset`` / ``tasks`` sessions but is ignored there.
     engine:
-        Alignment engine name from the engine registry (``"batch"`` by
+        Alignment engine name from the engine registry (``"vector"`` by
         default, ``"scalar"`` for the oracle path).
     suite:
         Default kernel suite for :meth:`compare` (``"mm2"`` by default).
     options:
         Typed engine tuning (:class:`repro.api.EngineOptions`):
-        ``batch_size`` is the bucket size of the batch engine, also
-        applied to the kernels' batched scoring path (``None`` inherits
+        ``batch_size`` is the engine's bucket size, also applied to the
+        kernels' batched scoring path (``None`` inherits
         ``kernel_config.batch_bucket_size`` when a kernel config is
-        given, else the engine default); ``slice_width`` tunes the
-        sliced engines.
-    batch_size:
-        Deprecated alias for ``options=EngineOptions(batch_size=...)``;
-        still honoured bit-identically, but emits a
-        ``DeprecationWarning``.
+        given, else :data:`~repro.align.vector.DEFAULT_BUCKET_SIZE`);
+        ``slice_width`` tunes the compaction slice width.
     kernel_config:
         Base :class:`KernelConfig` for kernels built by this session.
     hardware_scale, device, cpu, cost:
@@ -145,9 +140,9 @@ class Session:
     >>> from repro.align.types import AlignmentTask
     >>> task = AlignmentTask(ref=encode("ACGTACGT"), query=encode("ACGTACGT"),
     ...                      scoring=preset("figure1"))
-    >>> Session(tasks=[task]).align().scores            # "batch" default
+    >>> Session(tasks=[task]).align().scores            # "vector" default
     [16]
-    >>> Session(tasks=[task], engine="batch-sliced").align().scores
+    >>> Session(tasks=[task], engine="scalar").align().scores
     [16]
 
     Unknown registry names fail at construction, not mid-run:
@@ -155,7 +150,7 @@ class Session:
     >>> Session(tasks=[task], engine="warp-9")
     Traceback (most recent call last):
         ...
-    KeyError: "unknown engine 'warp-9'; available: ['scalar', 'batch', 'batch-sliced', 'vector']"
+    KeyError: "unknown engine 'warp-9'; available: ['scalar', 'vector', 'batch', 'batch-sliced']"
     """
 
     def __init__(
@@ -165,10 +160,9 @@ class Session:
         reference: Optional[np.ndarray] = None,
         scoring: Optional[ScoringScheme] = None,
         *,
-        engine: str = "batch",
+        engine: str = "vector",
         suite: str = "mm2",
         options: Optional[EngineOptions] = None,
-        batch_size: Optional[int] = None,
         kernel_config: Optional[KernelConfig] = None,
         hardware_scale: float = DEFAULT_HARDWARE_SCALE,
         device: Optional[DeviceSpec] = None,
@@ -198,23 +192,7 @@ class Session:
         self.scoring = scoring
         self.engine = engine
         self.suite = suite
-        if batch_size is not None:
-            warnings.warn(
-                "Session(batch_size=...) is deprecated; pass "
-                "options=EngineOptions(batch_size=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            base = options if options is not None else EngineOptions()
-            if base.batch_size is not None and base.batch_size != batch_size:
-                raise ValueError(
-                    f"conflicting bucket sizes: batch_size={batch_size} vs "
-                    f"options.batch_size={base.batch_size}"
-                )
-            options = base.replace(batch_size=batch_size)
         self.options = options if options is not None else EngineOptions()
-        #: Legacy mirror of ``options.batch_size`` (kept for compatibility).
-        self.batch_size = self.options.batch_size
         self.kernel_config = kernel_config
         self.hardware_scale = hardware_scale
         self._device = device
@@ -242,7 +220,7 @@ class Session:
         return self._device or scaled_device, self._cpu or scaled_cpu
 
     def effective_batch_size(self) -> int:
-        """The batch-engine bucket size this session actually uses."""
+        """The engine bucket size this session actually uses."""
         if self.options.batch_size is not None:
             return self.options.batch_size
         if self.kernel_config is not None:
@@ -262,7 +240,7 @@ class Session:
     def effective_kernel_config(self) -> KernelConfig:
         """The kernel config with the session's batch size applied.
 
-        An explicit ``batch_size=`` wins; otherwise an explicit
+        An explicit ``options.batch_size`` wins; otherwise an explicit
         ``kernel_config.batch_bucket_size`` is left untouched.
         """
         base = self.kernel_config or KernelConfig()

@@ -1,10 +1,7 @@
 """Kernel and suite registries: the single source of figure-grid cells.
 
-Before this module existed the kernel line-up of a figure lived in two
-places that had to be kept in sync by hand --
-``repro.pipeline.experiment.kernel_suite`` (the harness) and the suite
-table inside ``repro.bench.runner`` (the sharded workers).  Both now
-resolve through the registries defined here:
+The harness, the session façade and the sharded bench workers all
+resolve a figure's kernel line-up through the registries defined here:
 
 * :data:`KERNELS` maps a kernel name to its factory (the kernel class);
 * :data:`SUITES` maps a suite name to a :class:`SuiteSpec`, an ordered

@@ -54,8 +54,8 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # ``SUITES`` used to be a hardcoded tuple here (the duplicate of
-    # ``kernel_suite`` the registry replaced).  Attribute access
+    # ``SUITES`` used to be a hardcoded tuple here (a duplicate of the
+    # suite registry).  Attribute access
     # (``repro.bench.runner.SUITES``) now reads the shared suite registry
     # on every lookup; note that ``from repro.bench.runner import SUITES``
     # binds a one-time snapshot -- callers that need a live view should

@@ -50,7 +50,7 @@ def slice_ranges(total: int, slice_width: int) -> List[Tuple[int, int]]:
     The slice geometry shared by both consumers of sliced-diagonal
     tiling: :class:`SlicedDiagonalSchedule` cuts *block* anti-diagonals
     into slices of ``slice_width`` for the GPU-side simulator, and the
-    batched SIMD engine (:func:`repro.align.batch.batch_align` with
+    struct-of-arrays engine (:func:`repro.align.vector.vector_align` with
     ``slice_width=``) cuts *cell* anti-diagonals the same way, compacting
     terminated tasks out of its buffers at every boundary.  ``total`` is
     the number of anti-diagonals to cover; the last slice may be short.
@@ -126,7 +126,7 @@ class SlicedDiagonalSchedule:
     def slice_block_antidiag_range(self, slice_index: int) -> tuple[int, int]:
         """Half-open block anti-diagonal range ``[lo, hi)`` of a slice.
 
-        Same geometry as :func:`slice_ranges` (which the batched SIMD
+        Same geometry as :func:`slice_ranges` (which the struct-of-arrays
         engine consumes), kept as per-index arithmetic here because the
         schedule queries one slice at a time.
         """

@@ -121,7 +121,7 @@ def length_bucket_order(
     Parameters
     ----------
     workloads:
-        Workload estimate per task (the batch engine sorts by
+        Workload estimate per task (the vector engine sorts by
         anti-diagonal count, the quantity that bounds sweep length).
     bucket_size:
         Maximum number of tasks per bucket.

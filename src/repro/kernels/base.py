@@ -22,16 +22,13 @@ may override :meth:`order_tasks` (scheduling) and :meth:`warp_cycles`
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace as _dc_replace
-from typing import Any, Callable, List, Sequence
+from typing import List, Sequence
 
-from repro.align.batch import (
-    DEFAULT_BUCKET_SIZE,
-    ENGINE_SLICE_WIDTHS,
-    batch_align,
-)
 from repro.align.blocks import BlockGrid
 from repro.align.types import AlignmentProfile, AlignmentResult, AlignmentTask
+from repro.align.vector import DEFAULT_BUCKET_SIZE, ENGINE_SLICE_WIDTHS, vector_align
 from repro.gpusim.device import CostModel, DeviceSpec, RTX_A6000
 from repro.gpusim.executor import GpuExecutor
 from repro.gpusim.trace import (
@@ -65,19 +62,20 @@ class KernelConfig:
         executor's warp-slot scheduling already models queuing, so this is
         left at 1 unless a kernel needs grid-stride batching.
     batched_scoring:
-        Compute alignment scores with the struct-of-arrays batch engine
-        (:mod:`repro.align.batch`) instead of one scalar sweep per task.
-        Bit-exact either way; on by default because it is several times
+        Compute alignment scores with the struct-of-arrays vector engine
+        (:mod:`repro.align.vector`) instead of one scalar sweep per task.
+        Bit-exact either way; on by default because it is many times
         faster on realistic workloads.  Turn off to fall back to the
         per-task scalar path.
     batch_bucket_size:
-        Tasks swept simultaneously by the batch engine.
+        Tasks swept simultaneously by the vector engine.
     scoring_engine:
-        Which batch-capable engine primes the task profiles:
-        ``"batch"`` (the dense sweep) or ``"batch-sliced"`` (sliced
-        early termination with lane compaction; see docs/ENGINES.md).
-        Results are bit-identical either way, so simulated timings never
-        change -- this knob only trades profile-priming wall-clock.
+        Which engine primes the task profiles: ``"vector"`` (the
+        default).  The deprecated names ``"batch"`` (the dense sweep) and
+        ``"batch-sliced"`` still select the vector sweep at their
+        historical slice widths for one release, with a
+        ``DeprecationWarning``.  Results are bit-identical either way, so
+        simulated timings never change.
     """
 
     subwarp_size: int = 8
@@ -86,7 +84,7 @@ class KernelConfig:
     tasks_per_subwarp: int = 1
     batched_scoring: bool = True
     batch_bucket_size: int = DEFAULT_BUCKET_SIZE
-    scoring_engine: str = "batch"
+    scoring_engine: str = "vector"
 
     def __post_init__(self) -> None:
         if self.scoring_engine not in ENGINE_SLICE_WIDTHS:
@@ -94,6 +92,13 @@ class KernelConfig:
                 f"scoring_engine must be one of "
                 f"{sorted(ENGINE_SLICE_WIDTHS)} (got {self.scoring_engine!r}); "
                 "use batched_scoring=False for the scalar path"
+            )
+        if self.scoring_engine != "vector":
+            warnings.warn(
+                f"KernelConfig(scoring_engine={self.scoring_engine!r}) is "
+                "deprecated; use scoring_engine='vector' (bit-identical profiles)",
+                DeprecationWarning,
+                stacklevel=3,
             )
 
     def replace(self, **changes) -> "KernelConfig":
@@ -104,22 +109,6 @@ class KernelConfig:
     def scoring_slice_width(self) -> int | None:
         """Compaction slice width implied by ``scoring_engine``."""
         return ENGINE_SLICE_WIDTHS[self.scoring_engine]
-
-    def scoring_align(self) -> Callable[..., Any]:
-        """The batch-capable align callable behind ``scoring_engine``.
-
-        ``"batch"`` and ``"batch-sliced"`` resolve to
-        :func:`repro.align.batch.batch_align`; ``"vector"`` resolves its
-        optional NumPy dependency here, at scoring time, so merely
-        constructing a config never imports NumPy and a NumPy-less
-        install gets the ImportError (with the ``[vector]`` extra hint)
-        only when the engine is actually asked to score.
-        """
-        if self.scoring_engine == "vector":
-            from repro.align.vector import vector_align
-
-            return vector_align
-        return batch_align
 
     @property
     def subwarps_per_warp(self) -> int:
@@ -150,8 +139,8 @@ class GuidedKernel:
         affects *when* cells are computed, never their values, so this is
         the faithful output of the simulated kernel.  With
         ``config.batched_scoring`` (the default) uncached tasks are scored
-        by the struct-of-arrays batch engine in one sweep per bucket; the
-        results are bit-identical to the scalar path.
+        by the struct-of-arrays vector engine in one sweep per bucket;
+        the results are bit-identical to the scalar path.
         """
         self._ensure_profiles(tasks)
         return [task.profile().result for task in tasks]
@@ -160,7 +149,7 @@ class GuidedKernel:
         """Prime the per-task profile caches, batched when configured.
 
         Tasks that already carry a cached profile are left untouched; the
-        remainder is swept by the batch engine and the resulting profiles
+        remainder is swept by the vector engine and the resulting profiles
         (bit-identical to the scalar engine's) are cached on the tasks so
         every later consumer -- scoring, workload accounting, other
         kernels -- reuses them.
@@ -170,7 +159,7 @@ class GuidedKernel:
         missing = [task for task in tasks if task._profile is None]
         if not missing:
             return
-        profiles = self.config.scoring_align()(
+        profiles = vector_align(
             missing,
             bucket_size=self.config.batch_bucket_size,
             return_profiles=True,
@@ -188,7 +177,7 @@ class GuidedKernel:
         those results deliberately differ from the cached Z-drop profiles,
         so they are computed fresh and not cached on the tasks.
         """
-        return self.config.scoring_align()(
+        return vector_align(
             tasks,
             termination=termination,
             bucket_size=self.config.batch_bucket_size,

@@ -6,8 +6,8 @@
     guided alignment of the extension tasks.
 ``experiment``
     Builders for the evaluation workloads (the nine named datasets, the
-    long/short mixtures), the scaled hardware pair, and the comparison /
-    speedup helpers shared by every benchmark and example.
+    long/short mixtures), the scaled hardware pair, and the speedup
+    helpers shared by every benchmark and example.
 """
 
 from repro.pipeline.mapper import LongReadMapper, ReadMapping
@@ -16,9 +16,6 @@ from repro.pipeline.experiment import (
     dataset_tasks,
     all_dataset_names,
     scaled_hardware,
-    kernel_suite,
-    align_workload,
-    compare_kernels,
     speedup_table,
 )
 
@@ -29,8 +26,5 @@ __all__ = [
     "dataset_tasks",
     "all_dataset_names",
     "scaled_hardware",
-    "kernel_suite",
-    "align_workload",
-    "compare_kernels",
     "speedup_table",
 ]

@@ -13,25 +13,21 @@ The module provides exactly the pieces every figure reproduction needs:
 * :func:`speedup_table` -- run a kernel suite over a set of datasets and
   normalise to the CPU baseline.
 
-:func:`kernel_suite`, :func:`align_workload` and :func:`compare_kernels`
-remain as **deprecation shims**: the implementations moved behind the
+Kernel line-ups, workload scoring and suite comparisons live behind the
 :mod:`repro.api` registries and :class:`repro.api.Session` (see
-DESIGN.md, "The public API layer"), and the shims delegate there after
-emitting a single :class:`DeprecationWarning`.  Results are bit-identical
-either way.
+DESIGN.md, "The public API layer").
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, List, Mapping, Sequence
 
 import numpy as np
 
-from repro.align.batch import DEFAULT_BUCKET_SIZE
-from repro.align.types import AlignmentResult, AlignmentTask
+from repro.align.types import AlignmentTask
+from repro.align.vector import DEFAULT_BUCKET_SIZE
 from repro.baselines.cpu_model import CpuSpec, EPYC_16C_SSE4
 from repro.gpusim.device import CostModel, DeviceSpec, RTX_A6000
 from repro.io.datasets import DATASET_REGISTRY, DatasetSpec
@@ -42,9 +38,6 @@ __all__ = [
     "all_dataset_names",
     "dataset_tasks",
     "scaled_hardware",
-    "kernel_suite",
-    "align_workload",
-    "compare_kernels",
     "speedup_table",
     "geometric_mean",
     "DEFAULT_BUCKET_SIZE",
@@ -61,9 +54,9 @@ DEFAULT_HARDWARE_SCALE: float = 1.0 / 84.0
 class ExperimentConfig:
     """Knobs of an experiment run (kept small and hashable for caching).
 
-    ``batch_size`` is the bucket size of the struct-of-arrays batch
-    alignment engine; benchmarks sweep it to chart the scalar-vs-batched
-    trade-off (``benchmarks/test_batch_engine.py``).
+    ``batch_size`` is the bucket size of the struct-of-arrays vector
+    engine that primes the kernels' task profiles; benchmarks sweep it
+    (``benchmarks/test_vector_engine.py``).
     """
 
     hardware_scale: float = DEFAULT_HARDWARE_SCALE
@@ -121,94 +114,6 @@ def scaled_hardware(
     achieved = scaled_device.num_sms / device.num_sms
     scaled_cpu = cpu.scale(achieved)
     return scaled_device, scaled_cpu
-
-
-# ----------------------------------------------------------------------
-# deprecation shims (the implementations live in repro.api)
-# ----------------------------------------------------------------------
-def _warn_deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead (see repro.api)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def kernel_suite(
-    config: KernelConfig | ExperimentConfig | None = None, target: str = "mm2"
-) -> Dict[str, GuidedKernel]:
-    """Deprecated: the GPU kernels of one registered suite.
-
-    Use ``repro.api.build_suite(name, config)`` (or
-    :meth:`repro.api.Session.kernels`).  Still accepts an
-    :class:`ExperimentConfig` (whose ``batch_size`` is applied to the
-    kernels' batched scoring path via :meth:`make_kernel_config`) and
-    still raises :class:`ValueError` for unknown targets; any registered
-    suite name is now a valid ``target``.
-    """
-    _warn_deprecated("repro.pipeline.experiment.kernel_suite", "repro.api.build_suite")
-    from repro.api.suites import build_suite
-
-    if isinstance(config, ExperimentConfig):
-        config = config.make_kernel_config()
-    try:
-        return build_suite(target, config)
-    except KeyError as exc:
-        raise ValueError(exc.args[0] if exc.args else str(exc)) from None
-
-
-# ----------------------------------------------------------------------
-# workload alignment
-# ----------------------------------------------------------------------
-def align_workload(
-    tasks: Sequence[AlignmentTask],
-    *,
-    batched: bool = True,
-    batch_size: int = DEFAULT_BUCKET_SIZE,
-) -> List[AlignmentResult]:
-    """Deprecated: score a whole workload, batched (default) or scalar.
-
-    Use ``repro.api.align_tasks(tasks, engine="batch"|"scalar", ...)`` or
-    :meth:`repro.api.Session.align`.  Both paths produce bit-identical
-    results; the boolean maps onto the engine registry.
-    """
-    _warn_deprecated(
-        "repro.pipeline.experiment.align_workload(batched=...)",
-        "repro.api.align_tasks(engine=...)",
-    )
-    from repro.api.engines import EngineOptions, align_tasks
-
-    return align_tasks(
-        tasks,
-        engine="batch" if batched else "scalar",
-        options=EngineOptions(batch_size=batch_size),
-    )
-
-
-# ----------------------------------------------------------------------
-# comparisons
-# ----------------------------------------------------------------------
-def compare_kernels(
-    tasks: Sequence[AlignmentTask],
-    kernels: Mapping[str, GuidedKernel],
-    *,
-    device: DeviceSpec | None = None,
-    cpu: CpuSpec | None = None,
-    cost: CostModel | None = None,
-) -> Dict[str, dict]:
-    """Deprecated: simulate every kernel over ``tasks`` with speedups.
-
-    Use :meth:`repro.api.Session.compare` or
-    ``repro.api.compare_suite(...)``; this shim returns the typed
-    outcome's ``to_dict()`` view, bit-identical to the historical mapping
-    (``name -> summary`` with the CPU anchor under ``"CPU"``).
-    """
-    _warn_deprecated(
-        "repro.pipeline.experiment.compare_kernels", "repro.api.Session.compare"
-    )
-    from repro.api.compare import compare_suite
-
-    return compare_suite(tasks, kernels, device=device, cpu=cpu, cost=cost).to_dict()
 
 
 def geometric_mean(values: Sequence[float]) -> float:

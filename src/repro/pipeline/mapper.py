@@ -19,15 +19,14 @@ alignment", Section 5.1).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.align.batch import DEFAULT_BUCKET_SIZE
 from repro.align.scoring import ScoringScheme
 from repro.align.types import AlignmentResult, AlignmentTask
+from repro.align.vector import DEFAULT_BUCKET_SIZE
 from repro.io.seed_chain import (
     Chain,
     MinimizerIndex,
@@ -73,15 +72,11 @@ class LongReadMapper:
         Minimum chain size for a read to count as mapped.
     engine:
         Alignment-engine name from the :mod:`repro.api` engine registry
-        (``"batch"`` by default: each read's extension tasks go to the
-        struct-of-arrays batch engine as one batch.  ``"scalar"`` aligns
-        them one by one -- scores are bit-identical, just slower).
+        (``"vector"`` by default: each read's extension tasks go to the
+        struct-of-arrays engine as one batch.  ``"scalar"`` aligns them
+        one by one -- scores are bit-identical, just slower).
     batch_size:
-        Bucket size handed to the batch engine.
-    batched:
-        Deprecated boolean form of ``engine`` (``True`` -> ``"batch"``,
-        ``False`` -> ``"scalar"``); passing it emits a
-        :class:`DeprecationWarning`.
+        Bucket size handed to the engine.
     """
 
     def __init__(
@@ -94,20 +89,9 @@ class LongReadMapper:
         min_anchors: int = 3,
         max_extension: int = 4096,
         anchor_spacing: int = 200,
-        engine: Optional[str] = None,
-        batched: Optional[bool] = None,
+        engine: str = "vector",
         batch_size: int = DEFAULT_BUCKET_SIZE,
     ):
-        if batched is not None:
-            if engine is not None:
-                raise ValueError("pass engine=..., not both engine= and batched=")
-            warnings.warn(
-                "LongReadMapper(batched=...) is deprecated; "
-                "pass engine='batch' or engine='scalar' instead (see repro.api)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            engine = "batch" if batched else "scalar"
         self.reference = np.asarray(reference, dtype=np.uint8)
         self.scoring = scoring
         self.k = k
@@ -115,7 +99,7 @@ class LongReadMapper:
         self.min_anchors = min_anchors
         self.max_extension = max_extension
         self.anchor_spacing = anchor_spacing
-        self.engine = engine if engine is not None else "batch"
+        self.engine = engine
         # Imported lazily (repro.api.session imports this module); fail
         # fast on unknown engine names rather than mid-mapping.
         from repro.api.engines import get_engine
@@ -123,11 +107,6 @@ class LongReadMapper:
         get_engine(self.engine)
         self.batch_size = batch_size
         self.index = MinimizerIndex(self.reference, k=k, w=w)
-
-    @property
-    def batched(self) -> bool:
-        """Backwards-compatible view of the engine choice."""
-        return self.engine != "scalar"
 
     # ------------------------------------------------------------------
     def best_chain(self, read: np.ndarray) -> Optional[Chain]:

@@ -1,6 +1,6 @@
 """``repro.serve`` -- the online micro-batching alignment service.
 
-The batch engine (:mod:`repro.align.batch`) gets its throughput from
+The vector engine (:mod:`repro.align.vector`) gets its throughput from
 forming large, length-homogeneous batches, but figure reproductions only
 exercise it *offline*: the whole workload is known up front.  This
 package turns the engine into an online system, the way inference

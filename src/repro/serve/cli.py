@@ -45,22 +45,15 @@ ARRIVAL_PROCESSES = ("poisson", "bursty", "replay")
 
 def _engine_help() -> str:
     """Dynamic --engine help derived from the live registry."""
-    from repro.api.engines import engine_names, supports_streaming, unavailable_engines
+    from repro.api.engines import engine_names, supports_streaming
 
     names = ", ".join(
         f"{name}*" if supports_streaming(name) else name for name in engine_names()
     )
-    missing = unavailable_engines()
-    hint = (
-        "; unavailable here: "
-        + ", ".join(f"{name} ({reason})" for name, reason in missing.items())
-        if missing
-        else ""
-    )
     return (
         f"alignment engine from the repro.api registry (choices: {names}; "
-        f"* streams natively and defaults to continuous refill{hint}; "
-        "default: batch)"
+        "* streams natively and defaults to continuous refill; "
+        "default: vector)"
     )
 
 
@@ -110,10 +103,9 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        default="batch",
+        default="vector",
         metavar="ENGINE",
-        # Validated by ServeConfig against the live registry (a KeyError
-        # for a known-but-unavailable engine explains how to enable it).
+        # Validated by ServeConfig against the live registry.
         help=_engine_help(),
     )
     parser.add_argument(

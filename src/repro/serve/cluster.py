@@ -869,7 +869,7 @@ class ClusterService:
 
     The usage mirrors :class:`AlignmentService`::
 
-        config = ClusterConfig(shards=4, serve=ServeConfig(engine="batch-sliced"))
+        config = ClusterConfig(shards=4, serve=ServeConfig(engine="vector"))
         with ClusterService(config) as cluster:
             futures = [cluster.submit(task) for task in tasks]
             scores = [f.result().score for f in futures]

@@ -21,7 +21,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.align.batch import DEFAULT_BUCKET_SIZE
+from repro.align.vector import DEFAULT_BUCKET_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api imports serve)
     from repro.api.engines import EngineOptions
@@ -46,9 +46,8 @@ class ServeConfig:
     ----------
     engine:
         Alignment engine name from the :mod:`repro.api` engine registry
-        (``"batch"`` by default; ``"batch-sliced"`` compacts terminated
-        tasks out of the sweep -- a good fit for mixed online traffic --
-        and ``"scalar"`` is the oracle path).
+        (``"vector"`` by default: it streams natively, so the default
+        refill is continuous; ``"scalar"`` is the oracle path).
     batch_size:
         Bucket size handed to the engine (``None`` keeps the engine
         default).  This is the *engine's* internal SIMD bucket; the
@@ -99,7 +98,7 @@ class ServeConfig:
         persistent kernel).
     """
 
-    engine: str = "batch"
+    engine: str = "vector"
     batch_size: Optional[int] = None
     max_batch_size: int = 32
     max_wait_ms: float = 4.0

@@ -15,7 +15,7 @@ two questions:
   pending requests' anti-diagonal counts, then dispatches the bucket
   containing the oldest request, so co-batched tasks have similar sweep
   lengths and engine-side padding stays cheap.  (This is the serving
-  mirror of the batch engine's own bucketing; see DESIGN.md.)
+  mirror of the vector engine's own bucketing; see DESIGN.md.)
 
 Streaming engines add a third question -- **who refills** a lane freed
 by compaction mid-sweep.  :meth:`MicroBatcher.take` answers it: remove

@@ -60,7 +60,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.align.batch import DEFAULT_SLICE_WIDTH
+from repro.align.vector import DEFAULT_SLICE_WIDTH
 from repro.align.types import AlignmentResult, AlignmentTask
 from repro.serve.config import ServeConfig
 from repro.serve.faults import ShardFaults

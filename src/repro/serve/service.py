@@ -19,7 +19,7 @@ pickled per request.
 
 When the configuration resolves to continuous refill
 (``config.resolved_refill() == "continuous"``, the default for
-streaming engines such as ``"batch-sliced"``), the scheduler thread
+streaming engines such as ``"vector"``), the scheduler thread
 instead keeps one :class:`repro.api.InFlightBatch` open and runs it
 slice by slice, admitting newly submitted tasks into lanes freed by
 compaction at every slice boundary (:meth:`MicroBatcher.take`).  The

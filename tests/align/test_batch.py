@@ -1,9 +1,13 @@
-"""Equivalence tests for the struct-of-arrays batch engine.
+"""Equivalence tests for struct-of-arrays batches: packing and the dense sweep.
 
-The scalar anti-diagonal engine defines the semantics; the batch engine
-must reproduce its scores, maximum cells, termination behaviour, work
-counters and per-anti-diagonal profiles bit for bit -- across scoring
-schemes, band widths, termination kinds and ragged task-length buckets.
+The scalar anti-diagonal engine defines the semantics; the vector
+engine's dense sweep (``slice_width=None``: whole buckets swept without
+compaction) must reproduce its scores, maximum cells, termination
+behaviour, work counters and per-anti-diagonal profiles bit for bit --
+across scoring schemes, band widths, termination kinds and ragged
+task-length buckets.  ``tests/align/test_vector.py`` and
+``tests/align/test_sliced_batch.py`` then pin the compacting sweep to
+the dense one.
 """
 
 import numpy as np
@@ -12,16 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align.antidiagonal import antidiagonal_align
-from repro.align.batch import (
-    DEFAULT_BUCKET_SIZE,
-    batch_align,
-    pack_tasks,
-)
 from repro.align.scoring import ScoringScheme, preset
 from repro.align.sequence import encode, mutate, random_sequence
 from repro.align.termination import NEG_INF, make_termination
 from repro.align.types import AlignmentTask
+from repro.align.vector import DEFAULT_BUCKET_SIZE, pack_tasks, vector_align
 from repro.core.uneven_bucketing import length_bucket_order
+
+
+def dense_align(tasks, **kwargs):
+    """The vector engine's dense sweep (no slice-boundary compaction)."""
+    return vector_align(tasks, slice_width=None, **kwargs)
 
 
 def _assert_same(scalar, batched):
@@ -67,7 +72,7 @@ class TestAgainstScalarOracle:
         """Random mixed-size, mixed-scheme tasks across ragged buckets."""
         rng = np.random.default_rng(11)
         tasks = _random_tasks(rng, 40, schemes=self.SCHEMES)
-        batched = batch_align(tasks, termination=termination, bucket_size=7)
+        batched = dense_align(tasks, termination=termination, bucket_size=7)
         for task, b in zip(tasks, batched):
             cond = make_termination(task.scoring, termination)
             s = antidiagonal_align(task.ref, task.query, task.scoring, cond)
@@ -76,7 +81,7 @@ class TestAgainstScalarOracle:
     def test_profiles_match_oracle(self):
         rng = np.random.default_rng(5)
         tasks = _random_tasks(rng, 20, schemes=self.SCHEMES)
-        profiles = batch_align(tasks, bucket_size=6, return_profiles=True)
+        profiles = dense_align(tasks, bucket_size=6, return_profiles=True)
         for task, bp in zip(tasks, profiles):
             sp = antidiagonal_align(
                 task.ref, task.query, task.scoring, return_profile=True
@@ -112,7 +117,7 @@ class TestAgainstScalarOracle:
             zdrop=zdrop,
         )
         task = AlignmentTask(ref=encode(ref), query=encode(query), scoring=scoring)
-        (b,) = batch_align([task])
+        (b,) = dense_align([task])
         s = antidiagonal_align(task.ref, task.query, scoring)
         _assert_same(s, b)
 
@@ -127,7 +132,7 @@ class TestAgainstScalarOracle:
             query = mutate(ref, rng, substitution_rate=0.1)
             tasks.append(AlignmentTask(ref=ref, query=query, scoring=scoring))
         for bucket_size in (1, 3, DEFAULT_BUCKET_SIZE):
-            batched = batch_align(tasks, bucket_size=bucket_size)
+            batched = dense_align(tasks, bucket_size=bucket_size)
             for task, b in zip(tasks, batched):
                 _assert_same(
                     b, antidiagonal_align(task.ref, task.query, scoring)
@@ -136,12 +141,12 @@ class TestAgainstScalarOracle:
 
 class TestBatchMechanics:
     def test_empty_task_list(self):
-        assert batch_align([]) == []
+        assert dense_align([]) == []
 
     def test_empty_sequences(self):
         scoring = preset("map-ont")
         task = AlignmentTask(ref=encode(""), query=encode("ACG"), scoring=scoring)
-        (result,) = batch_align([task])
+        (result,) = dense_align([task])
         assert result.score == 0
         assert (result.max_i, result.max_j) == (-1, -1)
         assert not result.terminated
@@ -159,7 +164,7 @@ class TestBatchMechanics:
             )
             for i, n in enumerate([90, 5, 60, 5, 120, 30])
         ]
-        batched = batch_align(tasks, bucket_size=2)
+        batched = dense_align(tasks, bucket_size=2)
         for task, b in zip(tasks, batched):
             _assert_same(b, antidiagonal_align(task.ref, task.query, scoring))
 
@@ -198,7 +203,7 @@ class TestBatchMechanics:
         ref = encode("ACGTACGTACGT")
         query = encode("AC")
         task = AlignmentTask(ref=ref, query=query, scoring=scoring)
-        (bp,) = batch_align([task], return_profiles=True)
+        (bp,) = dense_align([task], return_profiles=True)
         sp = antidiagonal_align(ref, query, scoring, return_profile=True)
         assert np.array_equal(sp.antidiag_maxima, bp.antidiag_maxima)
         assert (bp.antidiag_maxima == NEG_INF).any()

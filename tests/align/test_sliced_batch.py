@@ -1,7 +1,8 @@
-"""Equivalence tests for the sliced, lane-compacting batch sweep.
+"""Equivalence tests for the sliced, lane-compacting vector sweep.
 
-The dense batch engine defines the semantics (and is itself pinned to
-the scalar oracle by ``test_batch.py``); the sliced sweep must reproduce
+The dense sweep (``slice_width=None``) defines the semantics (and is
+itself pinned to the scalar oracle by ``test_batch.py``); the sliced
+sweep must reproduce
 its scores, maximum cells, termination anti-diagonals, work counters and
 per-anti-diagonal profiles bit for bit -- across slice widths, bucket
 sizes, termination kinds and aggressively terminating workloads, which
@@ -14,16 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align.antidiagonal import antidiagonal_align
-from repro.align.batch import (
-    DEFAULT_SLICE_WIDTH,
-    ENGINE_SLICE_WIDTHS,
-    batch_align,
-)
 from repro.align.scoring import ScoringScheme, preset
 from repro.align.sequence import encode, mutate, random_sequence
 from repro.align.termination import make_termination
 from repro.align.types import AlignmentTask
+from repro.align.vector import DEFAULT_SLICE_WIDTH, ENGINE_SLICE_WIDTHS, vector_align
 from repro.core.sliced_diagonal import slice_ranges
+
+
+def sweep(tasks, *, slice_width=None, **kwargs):
+    """The vector sweep, dense unless ``slice_width`` is given."""
+    return vector_align(tasks, slice_width=slice_width, **kwargs)
 
 
 def _assert_same(dense, sliced):
@@ -58,8 +60,8 @@ class TestAgainstDenseEngine:
         rng = np.random.default_rng(17)
         scoring = preset("map-ont", band_width=32, zdrop=40)
         tasks = _mixed_tasks(rng, 48, scoring=scoring)
-        dense = batch_align(tasks, termination=termination, bucket_size=16)
-        sliced = batch_align(
+        dense = sweep(tasks, termination=termination, bucket_size=16)
+        sliced = sweep(
             tasks,
             termination=termination,
             bucket_size=16,
@@ -73,7 +75,7 @@ class TestAgainstDenseEngine:
         rng = np.random.default_rng(23)
         scoring = preset("map-ont", band_width=48, zdrop=60)
         tasks = _mixed_tasks(rng, 24, scoring=scoring)
-        sliced = batch_align(tasks, bucket_size=8, slice_width=DEFAULT_SLICE_WIDTH)
+        sliced = sweep(tasks, bucket_size=8, slice_width=DEFAULT_SLICE_WIDTH)
         for task, s in zip(tasks, sliced):
             cond = make_termination(task.scoring, "zdrop")
             _assert_same(
@@ -84,8 +86,8 @@ class TestAgainstDenseEngine:
         rng = np.random.default_rng(29)
         scoring = preset("map-hifi", band_width=17, zdrop=30)
         tasks = _mixed_tasks(rng, 20, scoring=scoring)
-        dense = batch_align(tasks, bucket_size=6, return_profiles=True)
-        sliced = batch_align(
+        dense = sweep(tasks, bucket_size=6, return_profiles=True)
+        sliced = sweep(
             tasks, bucket_size=6, return_profiles=True, slice_width=5
         )
         for dp, sp in zip(dense, sliced):
@@ -112,8 +114,8 @@ class TestAgainstDenseEngine:
 
         Random mixed-length batches under aggressive Z-drop thresholds:
         scores, maximum cells, termination anti-diagonals and work
-        counters of the sliced sweep equal the dense batch engine's
-        bit for bit.
+        counters of the sliced sweep equal the dense sweep's bit for
+        bit.
         """
         rng = np.random.default_rng(seed)
         scoring = ScoringScheme(
@@ -125,8 +127,8 @@ class TestAgainstDenseEngine:
             zdrop=zdrop,
         )
         tasks = _mixed_tasks(rng, n_tasks, scoring=scoring, max_len=80)
-        dense = batch_align(tasks, bucket_size=bucket_size)
-        sliced = batch_align(
+        dense = sweep(tasks, bucket_size=bucket_size)
+        sliced = sweep(
             tasks, bucket_size=bucket_size, slice_width=slice_width
         )
         for d, s in zip(dense, sliced):
@@ -135,12 +137,12 @@ class TestAgainstDenseEngine:
 
 class TestSlicedMechanics:
     def test_empty_task_list(self):
-        assert batch_align([], slice_width=8) == []
+        assert sweep([], slice_width=8) == []
 
     def test_empty_sequences(self):
         scoring = preset("map-ont")
         task = AlignmentTask(ref=encode(""), query=encode("ACG"), scoring=scoring)
-        (result,) = batch_align([task], slice_width=4)
+        (result,) = sweep([task], slice_width=4)
         assert result.score == 0
         assert result.cells_computed == 0
 
@@ -148,9 +150,9 @@ class TestSlicedMechanics:
         scoring = preset("figure1")
         task = AlignmentTask(ref=encode("ACG"), query=encode("ACG"), scoring=scoring)
         with pytest.raises(ValueError, match="slice_width"):
-            batch_align([task], slice_width=0)
+            sweep([task], slice_width=0)
         with pytest.raises(ValueError, match="slice_width"):
-            batch_align([task], slice_width=-3)
+            sweep([task], slice_width=-3)
 
     def test_everyone_terminates_before_second_slice(self):
         """All-divergent bucket: compaction empties it, sweep stops early."""
@@ -165,14 +167,15 @@ class TestSlicedMechanics:
             )
             for t in range(8)
         ]
-        dense = batch_align(tasks)
-        sliced = batch_align(tasks, slice_width=8)
+        dense = sweep(tasks)
+        sliced = sweep(tasks, slice_width=8)
         for d, s in zip(dense, sliced):
             _assert_same(d, s)
             assert s.terminated
 
     def test_engine_slice_widths_mapping(self):
         """The engine-name mapping stays consistent with the defaults."""
+        assert ENGINE_SLICE_WIDTHS["vector"] == DEFAULT_SLICE_WIDTH
         assert ENGINE_SLICE_WIDTHS["batch"] is None
         assert ENGINE_SLICE_WIDTHS["batch-sliced"] == DEFAULT_SLICE_WIDTH
 

@@ -1,13 +1,13 @@
 """The streaming engine contract: streams, refill, and the adapter.
 
 Two exactness claims anchor this file.  First, a stream drained in one
-go is the one-shot engine (``batch_align`` / ``vector_align`` are thin
-wrappers over the streams, so this is almost definitional).  Second --
-the claim the serve scheduler relies on -- *admission order does not
+go is the one-shot engine (``vector_align`` is a thin wrapper over
+:class:`VectorStream`, so this is almost definitional).  Second -- the
+claim the serve scheduler relies on -- *admission order does not
 matter*: tasks admitted into lanes freed mid-sweep score bit-identically
-to a fresh one-shot call, whatever the interleaving of ``admit`` and
+to per-task scalar sweeps, whatever the interleaving of ``admit`` and
 ``step``.  A Hypothesis property drives random admission schedules
-against the scalar-pinned one-shot results to check exactly that.
+against the scalar oracle to check exactly that.
 """
 
 import numpy as np
@@ -15,11 +15,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align.batch import DEFAULT_SLICE_WIDTH, BatchStream, batch_align
+from repro.align.antidiagonal import antidiagonal_align
 from repro.align.scoring import preset
 from repro.align.sequence import encode, mutate, random_sequence
 from repro.align.streaming import InFlightBatch, OneShotBatch, SliceStats
 from repro.align.types import AlignmentTask
+from repro.align.vector import DEFAULT_SLICE_WIDTH, VectorStream, vector_align
+
+
+def scalar_align(tasks):
+    """Per-task scalar sweeps: the oracle every stream must match."""
+    return [antidiagonal_align(t.ref, t.query, t.scoring) for t in tasks]
+
+
+def dense_align(tasks):
+    """The one-shot dense sweep (the deprecated ``"batch"`` engine)."""
+    return vector_align(tasks, slice_width=None)
 
 
 def _mixed_tasks(rng, n, *, scoring, max_len=200, divergent_fraction=0.6):
@@ -64,17 +75,19 @@ def _run_schedule(stream, tasks, chunks):
 
 
 class TestBatchStream:
+    """The in-flight batch stream (:class:`VectorStream`) mechanics."""
+
     def test_is_an_inflight_batch(self):
-        assert isinstance(BatchStream(), InFlightBatch)
+        assert isinstance(VectorStream(), InFlightBatch)
         assert isinstance(OneShotBatch(lambda tasks: []), InFlightBatch)
 
     def test_drain_matches_one_shot(self):
         rng = np.random.default_rng(11)
         scoring = preset("map-ont", band_width=24, zdrop=40)
         tasks = _mixed_tasks(rng, 20, scoring=scoring)
-        stream = BatchStream(tasks, slice_width=7)
+        stream = VectorStream(tasks, slice_width=7)
         results = stream.drain()
-        for got, want in zip(results, batch_align(tasks, slice_width=7)):
+        for got, want in zip(results, vector_align(tasks, slice_width=7)):
             _assert_same(got, want)
         assert stream.done and stream.live == 0
 
@@ -83,8 +96,8 @@ class TestBatchStream:
         rng = np.random.default_rng(13)
         scoring = preset("map-ont", band_width=16, zdrop=25)
         tasks = _mixed_tasks(rng, 30, scoring=scoring)
-        oracle = batch_align(tasks)
-        stream = BatchStream(capacity=6, slice_width=5)
+        oracle = scalar_align(tasks)
+        stream = VectorStream(capacity=6, slice_width=5)
         results = _run_schedule(stream, tasks, chunks=[6, 1, 3, 2] * 10)
         for got, want in zip(results, oracle):
             _assert_same(got, want)
@@ -92,7 +105,7 @@ class TestBatchStream:
     def test_admission_indices_and_capacity_accounting(self):
         scoring = preset("map-ont", band_width=8, zdrop=200)
         tasks = _mixed_tasks(np.random.default_rng(7), 5, scoring=scoring)
-        stream = BatchStream(capacity=4, slice_width=3)
+        stream = VectorStream(capacity=4, slice_width=3)
         assert stream.admit(tasks[:3]) == [0, 1, 2]
         assert (stream.live, stream.free, stream.admitted) == (3, 1, 3)
         with pytest.raises(ValueError, match="lanes are free"):
@@ -102,14 +115,14 @@ class TestBatchStream:
 
     def test_step_rejects_non_positive(self):
         with pytest.raises(ValueError, match="n_slices"):
-            BatchStream().step(0)
+            VectorStream().step(0)
 
     def test_slice_stats_chain(self):
         """Stats cover every retirement and occupancy stays in [0, 1]."""
         rng = np.random.default_rng(19)
         scoring = preset("map-ont", band_width=16, zdrop=30)
         tasks = _mixed_tasks(rng, 12, scoring=scoring)
-        stream = BatchStream(tasks, capacity=12, slice_width=6)
+        stream = VectorStream(tasks, capacity=12, slice_width=6)
         stream.drain()
         stats = stream.stats
         assert [s.index for s in stats] == list(range(len(stats)))
@@ -133,12 +146,12 @@ class TestBatchStream:
     def test_property_admission_order_is_irrelevant(
         self, seed, n_tasks, capacity, slice_width, chunks, zdrop
     ):
-        """Arbitrary admit/step interleavings equal the one-shot engine."""
+        """Arbitrary admit/step interleavings equal the scalar oracle."""
         rng = np.random.default_rng(seed)
         scoring = preset("map-ont", band_width=12, zdrop=zdrop)
         tasks = _mixed_tasks(rng, n_tasks, scoring=scoring, max_len=60)
-        oracle = batch_align(tasks)
-        stream = BatchStream(capacity=capacity, slice_width=slice_width)
+        oracle = scalar_align(tasks)
+        stream = VectorStream(capacity=capacity, slice_width=slice_width)
         results = _run_schedule(stream, tasks, chunks)
         for got, want in zip(results, oracle):
             _assert_same(got, want)
@@ -146,23 +159,22 @@ class TestBatchStream:
 
 class TestVectorStream:
     def test_staged_admission_matches_batch_engine(self):
-        vector = pytest.importorskip("repro.align.vector")
+        """Staged admission equals the one-shot dense (``batch``) sweep."""
         rng = np.random.default_rng(23)
         scoring = preset("map-ont", band_width=16, zdrop=35)
         tasks = _mixed_tasks(rng, 18, scoring=scoring)
-        oracle = batch_align(tasks)
-        stream = vector.VectorStream(capacity=5, slice_width=4)
+        oracle = dense_align(tasks)
+        stream = VectorStream(capacity=5, slice_width=4)
         results = _run_schedule(stream, tasks, chunks=[5, 2, 1] * 8)
         for got, want in zip(results, oracle):
             _assert_same(got, want)
 
     def test_drain_matches_vector_align(self):
-        vector = pytest.importorskip("repro.align.vector")
         rng = np.random.default_rng(29)
         scoring = preset("map-hifi", band_width=12, zdrop=50)
         tasks = _mixed_tasks(rng, 10, scoring=scoring)
-        stream = vector.VectorStream(tasks, slice_width=9)
-        for got, want in zip(stream.drain(), vector.vector_align(tasks, slice_width=9)):
+        stream = VectorStream(tasks, slice_width=9)
+        for got, want in zip(stream.drain(), vector_align(tasks, slice_width=9)):
             _assert_same(got, want)
 
 
@@ -172,7 +184,7 @@ class TestOneShotBatch:
 
         def engine(tasks, **kwargs):
             calls.append((len(tasks), dict(kwargs)))
-            return batch_align(tasks)
+            return scalar_align(tasks)
 
         return engine, calls
 
@@ -183,7 +195,7 @@ class TestOneShotBatch:
         handle = OneShotBatch(engine, tasks, engine_kwargs={"batch_size": 4})
         results = handle.drain()
         assert calls == [(6, {"batch_size": 4})]
-        for got, want in zip(results, batch_align(tasks)):
+        for got, want in zip(results, scalar_align(tasks)):
             _assert_same(got, want)
         (stat,) = handle.stats
         assert stat.completed == 6 and stat.occupancy == 1.0
@@ -219,7 +231,7 @@ class TestOneShotBatch:
     def test_admit_beyond_capacity_raises(self):
         scoring = preset("map-ont")
         task = AlignmentTask(ref=encode("AC"), query=encode("AC"), scoring=scoring)
-        handle = OneShotBatch(lambda tasks: batch_align(tasks), [task], capacity=1)
+        handle = OneShotBatch(scalar_align, [task], capacity=1)
         with pytest.raises(ValueError, match="lanes are free"):
             handle.admit([task])
 

@@ -151,11 +151,11 @@ class TestBatchTraceback:
     def test_cross_checks_engine_results(self):
         import pytest
 
-        from repro.align.batch import batch_align
         from repro.align.traceback import batch_traceback
+        from repro.align.vector import vector_align
 
         tasks = self._tasks()
-        results = batch_align(tasks)
+        results = vector_align(tasks)
         batch = batch_traceback(tasks, results)
         assert [tb.result for tb in batch] == results
 

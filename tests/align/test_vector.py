@@ -1,9 +1,11 @@
 """Equivalence tests for the whole-array NumPy ``vector`` engine.
 
-The dense batch engine defines the semantics (and is itself pinned to
-the scalar oracle by ``test_batch.py``); the vector sweep must reproduce
-its scores, maximum cells, termination anti-diagonals, work counters and
-per-anti-diagonal profiles bit for bit -- across slice widths, bucket
+The scalar oracle defines the semantics.  The dense sweep
+(``slice_width=None``, what the deprecated ``"batch"`` engine name now
+resolves to) is pinned to it by ``test_batch.py``; here every sliced
+sweep must reproduce the dense sweep's -- and the oracle's -- scores,
+maximum cells, termination anti-diagonals, work counters and
+per-anti-diagonal profiles bit for bit, across slice widths, bucket
 sizes, termination kinds, mixed scoring schemes and the int64 fallback
 for value ranges that do not fit the 32-bit fast path.
 """
@@ -14,20 +16,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align.antidiagonal import antidiagonal_align
-from repro.align.batch import DEFAULT_SLICE_WIDTH, ENGINE_SLICE_WIDTHS, batch_align
 from repro.align.scoring import ScoringScheme, preset
 from repro.align.sequence import encode, mutate, random_sequence
 from repro.align.termination import make_termination
 from repro.align.types import AlignmentTask
-
-pytest.importorskip(
-    "repro.align.vector",
-    reason="the vector engine needs NumPy (the [vector] extra)",
-)
-from repro.align.vector import (  # noqa: E402
+from repro.align.vector import (
+    DEFAULT_BUCKET_SIZE,
+    DEFAULT_SLICE_WIDTH,
     DEFAULT_VECTOR_BUCKET_SIZE,
+    ENGINE_SLICE_WIDTHS,
     vector_align,
 )
+
+
+def dense_align(tasks, **kwargs):
+    """The dense sweep the deprecated ``"batch"`` engine resolves to."""
+    return vector_align(tasks, slice_width=None, **kwargs)
+
+
+def _oracle(tasks, termination="zdrop"):
+    """Per-task scalar sweeps: the independent reference implementation."""
+    return [
+        antidiagonal_align(
+            task.ref, task.query, task.scoring,
+            make_termination(task.scoring, termination),
+        )
+        for task in tasks
+    ]
 
 
 def _assert_same(expected, got):
@@ -62,7 +77,7 @@ class TestAgainstBatchEngine:
         rng = np.random.default_rng(17)
         scoring = preset("map-ont", band_width=32, zdrop=40)
         tasks = _mixed_tasks(rng, 48, scoring=scoring)
-        dense = batch_align(tasks, termination=termination, bucket_size=16)
+        dense = dense_align(tasks, termination=termination, bucket_size=16)
         vector = vector_align(
             tasks,
             termination=termination,
@@ -71,6 +86,10 @@ class TestAgainstBatchEngine:
         )
         for d, v in zip(dense, vector):
             _assert_same(d, v)
+        if slice_width is None:
+            # Once per termination kind: the dense sweep is the oracle's.
+            for o, d in zip(_oracle(tasks, termination), dense):
+                _assert_same(o, d)
 
     def test_matches_scalar_oracle(self):
         """The vector sweep is pinned to the oracle, not just to batch."""
@@ -88,7 +107,7 @@ class TestAgainstBatchEngine:
         rng = np.random.default_rng(29)
         scoring = preset("map-hifi", band_width=17, zdrop=30)
         tasks = _mixed_tasks(rng, 20, scoring=scoring)
-        dense = batch_align(tasks, bucket_size=6, return_profiles=True)
+        dense = dense_align(tasks, bucket_size=6, return_profiles=True)
         vector = vector_align(
             tasks, bucket_size=6, return_profiles=True, slice_width=5
         )
@@ -112,10 +131,11 @@ class TestAgainstBatchEngine:
             tasks.append(
                 AlignmentTask(ref=ref, query=query, scoring=scoring, task_id=t)
             )
-        dense = batch_align(tasks, bucket_size=32)
+        dense = dense_align(tasks, bucket_size=32)
         vector = vector_align(tasks, bucket_size=32)
-        for d, v in zip(dense, vector):
+        for d, v, o in zip(dense, vector, _oracle(tasks)):
             _assert_same(d, v)
+            _assert_same(o, v)
 
     def test_int64_fallback_for_wide_value_ranges(self):
         """Pathological gap costs overflow the int32 bound; results stay exact."""
@@ -129,10 +149,11 @@ class TestAgainstBatchEngine:
             zdrop=50,
         )
         tasks = _mixed_tasks(rng, 10, scoring=scoring, max_len=100)
-        dense = batch_align(tasks)
+        dense = dense_align(tasks)
         vector = vector_align(tasks)
-        for d, v in zip(dense, vector):
+        for d, v, o in zip(dense, vector, _oracle(tasks)):
             _assert_same(d, v)
+            _assert_same(o, v)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -153,8 +174,8 @@ class TestAgainstBatchEngine:
 
         Random mixed-length batches under aggressive Z-drop thresholds:
         scores, maximum cells, termination anti-diagonals and work
-        counters of the vector engine equal the dense batch engine's
-        (and therefore the scalar oracle's) bit for bit.
+        counters of the sliced vector sweep equal the dense sweep's and
+        the scalar oracle's bit for bit.
         """
         rng = np.random.default_rng(seed)
         scoring = ScoringScheme(
@@ -166,12 +187,13 @@ class TestAgainstBatchEngine:
             zdrop=zdrop,
         )
         tasks = _mixed_tasks(rng, n_tasks, scoring=scoring, max_len=80)
-        dense = batch_align(tasks, bucket_size=bucket_size)
+        dense = dense_align(tasks, bucket_size=bucket_size)
         vector = vector_align(
             tasks, bucket_size=bucket_size, slice_width=slice_width
         )
-        for d, v in zip(dense, vector):
+        for d, v, o in zip(dense, vector, _oracle(tasks)):
             _assert_same(d, v)
+            _assert_same(o, v)
 
 
 class TestVectorMechanics:
@@ -191,7 +213,7 @@ class TestVectorMechanics:
         assert results[0].score == 0
         assert results[0].cells_computed == 0
         assert results[1].score == 0
-        for d, v in zip(batch_align(tasks), results):
+        for d, v in zip(dense_align(tasks), results):
             _assert_same(d, v)
 
     def test_rejects_non_positive_slice_width(self):
@@ -215,17 +237,16 @@ class TestVectorMechanics:
             )
             for t in range(8)
         ]
-        dense = batch_align(tasks)
+        dense = dense_align(tasks)
         vector = vector_align(tasks, slice_width=8)
         for d, v in zip(dense, vector):
             _assert_same(d, v)
             assert v.terminated
 
     def test_engine_slice_widths_mapping(self):
-        """``vector`` compacts like ``batch-sliced`` by default."""
+        """``vector`` compacts every default slice width."""
         assert ENGINE_SLICE_WIDTHS["vector"] == DEFAULT_SLICE_WIDTH
 
     def test_default_bucket_size_is_larger_than_batch(self):
-        from repro.align.batch import DEFAULT_BUCKET_SIZE
-
+        """A bare vector_align call buckets wider than the workflow default."""
         assert DEFAULT_VECTOR_BUCKET_SIZE > DEFAULT_BUCKET_SIZE

@@ -1,26 +1,26 @@
 """The deprecation shims: one warning each, bit-identical behaviour.
 
 Policy (DESIGN.md, "Deprecation policy"): a legacy entry point keeps its
-exact historical behaviour, emits exactly one :class:`DeprecationWarning`
-per call naming its replacement, and delegates to the shared
-``repro.api`` implementation so the two paths cannot diverge.
+exact historical behaviour for one release, emits exactly one
+:class:`DeprecationWarning` per call naming its replacement, and
+delegates to the shared implementation so the two paths cannot diverge.
+After that release it is deleted.
+
+Currently shimmed: the ``"batch"`` / ``"batch-sliced"`` engine names,
+now aliases of the ``vector`` engine's dense and sliced sweeps.
 """
 
+import inspect
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.align import preset
-from repro.api import EngineOptions, Session, align_tasks, build_suite
+from repro.align import AlignmentTask, preset
+from repro.api import EngineOptions, Session, align_tasks, open_batch
 from repro.io.datasets import synthetic_reference
 from repro.kernels import AgathaKernel, KernelConfig
-from repro.pipeline.experiment import (
-    ExperimentConfig,
-    align_workload,
-    compare_kernels,
-    kernel_suite,
-)
+from repro.pipeline import experiment
 from repro.pipeline.mapper import LongReadMapper
 
 
@@ -32,41 +32,55 @@ def _deprecations(fn, *args, **kwargs):
     return result, [w for w in caught if issubclass(w.category, DeprecationWarning)]
 
 
-class TestAlignWorkloadShim:
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_single_warning_and_bit_identical(self, task_batch, batched):
-        legacy, deps = _deprecations(align_workload, task_batch, batched=batched)
-        assert len(deps) == 1
-        assert "align_tasks" in str(deps[0].message)
-        fresh = align_tasks(task_batch, engine="batch" if batched else "scalar")
-        assert [r.score for r in legacy] == [r.score for r in fresh]
-        assert [r.cells_computed for r in legacy] == [r.cells_computed for r in fresh]
-        assert [(r.max_i, r.max_j, r.terminated) for r in legacy] == [
-            (r.max_i, r.max_j, r.terminated) for r in fresh
-        ]
+def _fresh(tasks):
+    """Copies without cached profiles, so each kernel primes its own."""
+    return [
+        AlignmentTask(ref=t.ref, query=t.query, scoring=t.scoring, task_id=t.task_id)
+        for t in tasks
+    ]
 
-    def test_batch_size_forwarded(self, task_batch):
-        legacy, deps = _deprecations(align_workload, task_batch, batch_size=7)
+
+class TestBatchEngineAliases:
+    """``"batch"`` / ``"batch-sliced"`` resolve to the vector engine."""
+
+    @pytest.mark.parametrize("engine", ["batch", "batch-sliced"])
+    def test_single_warning_and_bit_identical(self, task_batch, engine):
+        legacy, deps = _deprecations(align_tasks, task_batch, engine=engine)
         assert len(deps) == 1
-        fresh = align_tasks(
-            task_batch, engine="batch", options=EngineOptions(batch_size=7)
-        )
-        assert [r.score for r in legacy] == [r.score for r in fresh]
+        assert "engine='vector'" in str(deps[0].message)
+        assert legacy == align_tasks(task_batch, engine="vector")
+        assert legacy == align_tasks(task_batch, engine="scalar")
+
+    def test_session_alias_warns_once_per_align(self, task_batch):
+        session, deps = _deprecations(Session, tasks=task_batch, engine="batch")
+        assert deps == []
+        outcome, deps = _deprecations(session.align)
+        assert len(deps) == 1
+        assert outcome.results == Session(tasks=task_batch).align().results
+
+    def test_sliced_alias_still_streams(self, task_batch):
+        handle, deps = _deprecations(open_batch, task_batch, engine="batch-sliced")
+        assert len(deps) == 1
+        assert handle.drain() == align_tasks(task_batch)
+
+    @pytest.mark.parametrize("engine", ["batch", "batch-sliced"])
+    def test_kernel_config_alias_primes_identical_profiles(self, task_batch, engine):
+        config, deps = _deprecations(KernelConfig, scoring_engine=engine)
+        assert len(deps) == 1
+        assert "scoring_engine='vector'" in str(deps[0].message)
+        legacy = AgathaKernel(config).run(_fresh(task_batch))
+        fresh = AgathaKernel(KernelConfig()).run(_fresh(task_batch))
+        assert legacy == fresh
+
+    def test_vector_path_is_silent(self, task_batch):
+        _, deps = _deprecations(align_tasks, task_batch)
+        assert deps == []
+        _, deps = _deprecations(KernelConfig)
+        assert deps == []
 
 
 class TestEngineOptionsShims:
-    """``batch_size=`` keywords now route through ``EngineOptions``."""
-
-    def test_align_tasks_batch_size_warns_once_and_matches(self, task_batch):
-        legacy, deps = _deprecations(
-            align_tasks, task_batch, engine="batch", batch_size=7
-        )
-        assert len(deps) == 1
-        assert "EngineOptions" in str(deps[0].message)
-        fresh = align_tasks(
-            task_batch, engine="batch", options=EngineOptions(batch_size=7)
-        )
-        assert legacy == fresh
+    """Engine tuning travels only as ``EngineOptions``."""
 
     def test_align_tasks_options_path_is_silent(self, task_batch):
         _, deps = _deprecations(
@@ -74,83 +88,24 @@ class TestEngineOptionsShims:
         )
         assert deps == []
 
-    def test_align_tasks_conflict(self, task_batch):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="conflicting bucket sizes"):
-                align_tasks(
-                    task_batch,
-                    batch_size=7,
-                    options=EngineOptions(batch_size=8),
-                )
 
-    def test_session_batch_size_warns_once_and_forwards(self, task_batch):
-        session, deps = _deprecations(Session, tasks=task_batch, batch_size=17)
-        assert len(deps) == 1
-        assert "EngineOptions" in str(deps[0].message)
-        assert session.options.batch_size == 17
-        assert session.batch_size == 17  # compat mirror
-        fresh = Session(tasks=task_batch, options=EngineOptions(batch_size=17))
-        assert session.align() == fresh.align()
+class TestRetiredShims:
+    """Shims whose one-release window ended are gone, not silently kept."""
 
-    def test_session_conflict(self, task_batch):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="conflicting bucket sizes"):
-                Session(
-                    tasks=task_batch,
-                    batch_size=17,
-                    options=EngineOptions(batch_size=16),
-                )
+    @pytest.mark.parametrize(
+        "name", ["kernel_suite", "align_workload", "compare_kernels"]
+    )
+    def test_experiment_shims_are_gone(self, name):
+        assert not hasattr(experiment, name)
 
-    def test_session_agreeing_sizes_are_fine(self, task_batch):
-        session, deps = _deprecations(
-            Session,
-            tasks=task_batch,
-            batch_size=17,
-            options=EngineOptions(batch_size=17),
-        )
-        assert len(deps) == 1
-        assert session.effective_batch_size() == 17
-
-
-class TestKernelSuiteShim:
-    @pytest.mark.parametrize("target", ["mm2", "diff"])
-    def test_single_warning_and_same_lineup(self, target):
-        legacy, deps = _deprecations(kernel_suite, target=target)
-        assert len(deps) == 1
-        assert "build_suite" in str(deps[0].message)
-        fresh = build_suite(target)
-        assert list(legacy) == list(fresh)
-        for name in legacy:
-            assert type(legacy[name]) is type(fresh[name])
-            assert legacy[name].target == fresh[name].target
-            assert legacy[name].config == fresh[name].config
-
-    def test_experiment_config_batch_size_still_flows(self):
-        legacy, deps = _deprecations(kernel_suite, ExperimentConfig(batch_size=17))
-        assert len(deps) == 1
-        assert all(k.config.batch_bucket_size == 17 for k in legacy.values())
-
-    def test_unknown_target_still_value_error(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="unknown suite"):
-                kernel_suite(target="x")
-
-    def test_registered_suites_now_reachable(self):
-        legacy, deps = _deprecations(kernel_suite, target="ablation")
-        assert len(deps) == 1
-        assert list(legacy)[0] == "Baseline"
-
-
-class TestCompareKernelsShim:
-    def test_single_warning_and_bit_identical(self, task_batch):
-        kernels = {"AGAThA": AgathaKernel(KernelConfig())}
-        legacy, deps = _deprecations(compare_kernels, task_batch, kernels)
-        assert len(deps) == 1
-        assert "Session.compare" in str(deps[0].message)
-        fresh = Session(tasks=task_batch, suite="mm2").compare()
-        # Same CPU anchor and, for the shared kernel, identical floats.
-        assert legacy["CPU"] == fresh.to_dict()["CPU"]
-        assert legacy["AGAThA"] == fresh.to_dict()["AGAThA"]
+    @pytest.mark.parametrize(
+        "fn", [align_tasks, Session, LongReadMapper], ids=lambda fn: fn.__name__
+    )
+    def test_batch_size_and_batched_keywords_are_gone(self, fn):
+        params = inspect.signature(fn).parameters
+        assert "batched" not in params
+        if fn is not LongReadMapper:  # the mapper's bucket size is not a shim
+            assert "batch_size" not in params
 
 
 class TestLongReadMapperShim:
@@ -160,19 +115,6 @@ class TestLongReadMapperShim:
             "map-ont", band_width=32, zdrop=120
         )
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_batched_kwarg_warns_once_and_maps_to_engine(
-        self, reference_and_scoring, batched
-    ):
-        reference, scoring = reference_and_scoring
-        mapper, deps = _deprecations(
-            LongReadMapper, reference, scoring, batched=batched
-        )
-        assert len(deps) == 1
-        assert "engine=" in str(deps[0].message)
-        assert mapper.engine == ("batch" if batched else "scalar")
-        assert mapper.batched is batched  # compat property
-
     def test_engine_kwarg_is_silent(self, reference_and_scoring):
         reference, scoring = reference_and_scoring
         mapper, deps = _deprecations(
@@ -180,26 +122,21 @@ class TestLongReadMapperShim:
         )
         assert deps == []
         assert mapper.engine == "scalar"
-
-    def test_engine_and_batched_conflict(self, reference_and_scoring):
-        reference, scoring = reference_and_scoring
-        with pytest.raises(ValueError, match="not both"):
-            LongReadMapper(reference, scoring, engine="batch", batched=True)
+        assert LongReadMapper(reference, scoring).engine == "vector"
 
     def test_unknown_engine_rejected(self, reference_and_scoring):
         reference, scoring = reference_and_scoring
         with pytest.raises(KeyError, match="unknown engine"):
             LongReadMapper(reference, scoring, engine="warp-drive")
 
-    def test_legacy_path_bit_identical(self, reference_and_scoring, rng):
+    def test_legacy_path_bit_identical(self, reference_and_scoring):
         reference, scoring = reference_and_scoring
         read = np.concatenate([reference[1000:2200]])
-        legacy, deps = _deprecations(
-            LongReadMapper, reference, scoring, batched=False
-        )
+        legacy = LongReadMapper(reference, scoring, engine="batch")
+        modern = LongReadMapper(reference, scoring)
+        lhs, deps = _deprecations(legacy.map_read, read)
         assert len(deps) == 1
-        modern = LongReadMapper(reference, scoring, engine="scalar")
-        lhs, rhs = legacy.map_read(read), modern.map_read(read)
+        rhs = modern.map_read(read)
         assert lhs.mapped == rhs.mapped
         assert lhs.mapping_score == rhs.mapping_score
         assert (lhs.ref_start, lhs.ref_end) == (rhs.ref_start, rhs.ref_end)

@@ -1,30 +1,19 @@
-"""Golden equivalence: the ``repro.api`` façade vs the legacy entry points.
+"""Golden equivalence: the ``Session`` façade vs the free-function paths.
 
-Acceptance property of the API redesign: on the Figure-8 workloads,
+Acceptance property of the API layer: on the Figure-8 workloads,
 ``Session.align/simulate/compare/run_figure`` must produce bit-identical
-scores, launch stats and BENCH records versus the legacy entry points
-(which are now shims over the same implementations), and the bench
+scores, launch stats and BENCH records versus calling the shared
+implementations directly (``align_tasks``, ``GuidedKernel.simulate``,
+``compare_suite``, ``run_figure``, ``speedup_table``), and the bench
 runner must build its cells from the shared suite registry.
-
-The legacy calls below intentionally exercise the deprecated spellings;
-their warnings are expected and suppressed.
 """
-
-import warnings
 
 import pytest
 
-from repro.api import Session, get_suite
+from repro.api import Session, align_tasks, build_suite, compare_suite, get_suite
 from repro.bench.runner import build_suite as runner_build_suite, run_figure
 from repro.kernels import AgathaKernel
-from repro.pipeline.experiment import (
-    align_workload,
-    compare_kernels,
-    dataset_tasks,
-    kernel_suite,
-    scaled_hardware,
-    speedup_table,
-)
+from repro.pipeline.experiment import dataset_tasks, scaled_hardware, speedup_table
 
 #: One of the paper's nine Figure-8 datasets (also used by the examples;
 #: its workload is shared in-process with the figure benchmarks).
@@ -41,20 +30,12 @@ def session():
     return Session(dataset=DATASET)
 
 
-def _legacy(fn, *args, **kwargs):
-    """Call a deprecated entry point with its warning silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return fn(*args, **kwargs)
-
-
 class TestAlignEquivalence:
     @pytest.mark.parametrize("batched", [True, False])
     def test_scores_bit_identical(self, session, figure8_tasks, batched):
-        legacy = _legacy(align_workload, figure8_tasks, batched=batched)
-        outcome = Session(
-            dataset=DATASET, engine="batch" if batched else "scalar"
-        ).align()
+        engine = "vector" if batched else "scalar"
+        legacy = align_tasks(figure8_tasks, engine=engine)
+        outcome = Session(dataset=DATASET, engine=engine).align()
         assert outcome.scores == [r.score for r in legacy]
         assert [r.cells_computed for r in outcome] == [
             r.cells_computed for r in legacy
@@ -82,9 +63,10 @@ class TestSimulateEquivalence:
 class TestCompareEquivalence:
     @pytest.mark.parametrize("target", ["mm2", "diff"])
     def test_comparison_mapping_bit_identical(self, figure8_tasks, target):
-        legacy = _legacy(
-            compare_kernels, figure8_tasks, _legacy(kernel_suite, target=target)
-        )
+        device, cpu = scaled_hardware()
+        legacy = compare_suite(
+            figure8_tasks, build_suite(target), device=device, cpu=cpu
+        ).to_dict()
         fresh = Session(dataset=DATASET, suite=target).compare()
         assert fresh.to_dict() == legacy  # exact float equality throughout
 
@@ -101,7 +83,7 @@ class TestRunFigureEquivalence:
 
     def test_record_speedups_match_legacy_speedup_table(self, session):
         record = session.run_figure("quick", suites=("mm2",))
-        table = speedup_table([DATASET], lambda: _legacy(kernel_suite, target="mm2"))
+        table = speedup_table([DATASET], lambda: build_suite("mm2"))
         assert record.speedup_table("mm2") == table
 
 
@@ -111,14 +93,6 @@ class TestSharedRegistry:
         for name in ("mm2", "diff", "ablation"):
             built = runner_build_suite(name)
             assert tuple(built) == get_suite(name).labels
-
-    def test_legacy_kernel_suite_is_the_same_lineup(self):
-        legacy = _legacy(kernel_suite, target="mm2")
-        registry = get_suite("mm2").build()
-        assert list(legacy) == list(registry)
-        assert [type(k) for k in legacy.values()] == [
-            type(k) for k in registry.values()
-        ]
 
     def test_no_duplicate_suite_table_left_in_runner(self):
         import inspect

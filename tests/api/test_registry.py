@@ -80,8 +80,8 @@ class TestRegistryBasics:
 
 class TestBuiltinRegistries:
     def test_builtin_engines(self):
-        assert set(engine_names()) >= {"scalar", "batch"}
-        assert ENGINES.get("batch") is get_engine("batch")
+        assert set(engine_names()) >= {"scalar", "vector"}
+        assert ENGINES.get("vector") is get_engine("vector")
 
     def test_builtin_kernels(self):
         assert set(kernel_names()) >= {
@@ -118,7 +118,7 @@ class TestCustomRegistration:
             results = align_tasks(task_batch, engine="test-recording")
             assert calls == [len(task_batch)]
             assert [r.score for r in results] == [
-                r.score for r in align_tasks(task_batch, engine="batch")
+                r.score for r in align_tasks(task_batch)
             ]
         finally:
             ENGINES.unregister("test-recording")

@@ -7,6 +7,7 @@ from repro.align import preset
 from repro.api import (
     AlignmentOutcome,
     ComparisonOutcome,
+    EngineOptions,
     MappingOutcome,
     Session,
     SimulationOutcome,
@@ -48,21 +49,25 @@ class TestAlign:
     def test_align_returns_typed_outcome(self, task_batch):
         outcome = Session(tasks=task_batch).align()
         assert isinstance(outcome, AlignmentOutcome)
-        assert outcome.engine == "batch"
+        assert outcome.engine == "vector"
         assert len(outcome) == len(task_batch)
         assert outcome.scores == [r.score for r in outcome]
         assert outcome[0] is outcome.results[0]
 
     def test_scalar_and_batch_engines_agree(self, task_batch):
-        batch = Session(tasks=task_batch, engine="batch").align()
+        vector = Session(tasks=task_batch).align()
+        with pytest.warns(DeprecationWarning):
+            batch = Session(tasks=task_batch, engine="batch").align()
         scalar = Session(tasks=task_batch, engine="scalar").align()
-        assert batch.scores == scalar.scores
-        assert [r.cells_computed for r in batch] == [r.cells_computed for r in scalar]
+        assert vector.scores == batch.scores == scalar.scores
+        assert [r.cells_computed for r in vector] == [r.cells_computed for r in scalar]
 
     def test_sliced_engine_agrees_through_session(self, task_batch):
-        sliced = Session(tasks=task_batch, engine="batch-sliced").align()
+        sliced = Session(
+            tasks=task_batch, options=EngineOptions(slice_width=3)
+        ).align()
         scalar = Session(tasks=task_batch, engine="scalar").align()
-        assert sliced.engine == "batch-sliced"
+        assert sliced.engine == "vector"
         assert sliced.scores == scalar.scores
         assert [r.antidiagonals_processed for r in sliced] == [
             r.antidiagonals_processed for r in scalar
@@ -93,7 +98,7 @@ class TestSimulateAndCompare:
         assert "Baseline" in outcome.kernel
 
     def test_batch_size_flows_into_kernels(self, task_batch):
-        session = Session(tasks=task_batch, batch_size=17)
+        session = Session(tasks=task_batch, options=EngineOptions(batch_size=17))
         assert session.effective_batch_size() == 17
         assert session.effective_kernel_config().batch_bucket_size == 17
         assert all(
@@ -112,7 +117,7 @@ class TestSimulateAndCompare:
     def test_explicit_batch_size_beats_kernel_config(self, task_batch):
         session = Session(
             tasks=task_batch,
-            batch_size=17,
+            options=EngineOptions(batch_size=17),
             kernel_config=KernelConfig(batch_bucket_size=256),
         )
         assert session.effective_batch_size() == 17

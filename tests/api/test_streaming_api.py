@@ -11,10 +11,10 @@ carries the capability is pinned here too.
 import numpy as np
 import pytest
 
-from repro.align.batch import BatchStream, batch_align
 from repro.align.scoring import preset
 from repro.align.sequence import mutate, random_sequence
 from repro.align.types import AlignmentTask
+from repro.align.vector import VectorStream, vector_align
 from repro.api import (
     ENGINES,
     EngineOptions,
@@ -41,13 +41,14 @@ def tasks():
 
 class TestSupportsStreaming:
     def test_builtin_flags(self):
-        assert supports_streaming("batch-sliced")
+        assert supports_streaming("vector")
         assert not supports_streaming("scalar")
+        # The deprecated aliases keep their historical capabilities.
+        assert supports_streaming("batch-sliced")
         assert not supports_streaming("batch")
 
     def test_vector_streams_when_available(self):
-        if "vector" in ENGINES.names():
-            assert supports_streaming("vector")
+        assert supports_streaming("vector")
 
     def test_unknown_engine_raises(self):
         with pytest.raises(KeyError, match="no-such-engine"):
@@ -56,29 +57,29 @@ class TestSupportsStreaming:
 
 class TestOpenBatch:
     def test_streaming_engine_gets_a_native_stream(self, tasks):
-        handle = open_batch(tasks, engine="batch-sliced")
-        assert isinstance(handle, BatchStream)
+        handle = open_batch(tasks, engine="vector")
+        assert isinstance(handle, VectorStream)
         assert isinstance(handle, InFlightBatch)
-        for got, want in zip(handle.drain(), align_tasks(tasks, engine="batch-sliced")):
+        for got, want in zip(handle.drain(), align_tasks(tasks, engine="vector")):
             assert got == want
 
     def test_one_shot_engine_gets_the_adapter(self, tasks):
-        handle = open_batch(tasks, engine="batch")
+        handle = open_batch(tasks, engine="scalar")
         assert isinstance(handle, OneShotBatch)
-        assert handle.drain() == align_tasks(tasks, engine="batch")
+        assert handle.drain() == align_tasks(tasks, engine="scalar")
 
     def test_capacity_flows_through(self, tasks):
-        handle = open_batch(tasks[:2], engine="batch-sliced", capacity=8)
+        handle = open_batch(tasks[:2], engine="vector", capacity=8)
         assert handle.capacity == 8 and handle.free == 6
-        adapter = open_batch(tasks[:2], engine="batch", capacity=8)
+        adapter = open_batch(tasks[:2], engine="scalar", capacity=8)
         assert adapter.capacity == 8 and adapter.free == 6
 
     def test_slice_width_option_reaches_the_stream(self, tasks):
         narrow = open_batch(
-            tasks, engine="batch-sliced", options=EngineOptions(slice_width=1)
+            tasks, engine="vector", options=EngineOptions(slice_width=1)
         )
         wide = open_batch(
-            tasks, engine="batch-sliced", options=EngineOptions(slice_width=10_000)
+            tasks, engine="vector", options=EngineOptions(slice_width=10_000)
         )
         narrow_results = narrow.drain()
         assert narrow_results == wide.drain()
@@ -91,7 +92,7 @@ class TestOpenBatch:
         @register_engine("adapter-test-engine")
         def third_party(batch, *, batch_size=4):
             calls.append(batch_size)
-            return batch_align(batch)
+            return vector_align(batch)
 
         try:
             handle = open_batch(
@@ -99,7 +100,7 @@ class TestOpenBatch:
             )
             assert isinstance(handle, OneShotBatch)
             assert not supports_streaming("adapter-test-engine")
-            assert handle.drain() == batch_align(tasks)
+            assert handle.drain() == vector_align(tasks)
             assert calls == [3]
         finally:
             ENGINES.unregister("adapter-test-engine")
@@ -107,18 +108,18 @@ class TestOpenBatch:
     def test_third_party_streaming_factory(self, tasks):
         @register_engine(
             "stream-test-engine",
-            open_batch=lambda batch, *, capacity=None, options: BatchStream(
+            open_batch=lambda batch, *, capacity=None, options: VectorStream(
                 batch, capacity=capacity, slice_width=options.slice_width or 4
             ),
         )
         def streaming(batch, *, batch_size=4):
-            return batch_align(batch)
+            return vector_align(batch)
 
         try:
             assert supports_streaming("stream-test-engine")
             handle = open_batch(tasks, engine="stream-test-engine")
-            assert isinstance(handle, BatchStream)
-            assert handle.drain() == batch_align(tasks)
+            assert isinstance(handle, VectorStream)
+            assert handle.drain() == vector_align(tasks)
         finally:
             ENGINES.unregister("stream-test-engine")
 

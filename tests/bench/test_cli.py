@@ -23,12 +23,13 @@ class TestRunMode:
     def test_sharded_cli_record_matches_serial_speedup_table(self, tmp_path, capsys):
         """`python -m repro.bench --figure quick --workers 2` on a registry
         dataset must reproduce the serial harness bit for bit."""
-        from repro.pipeline.experiment import kernel_suite, speedup_table
+        from repro.api import build_suite
+        from repro.pipeline.experiment import speedup_table
 
         name = "ONT-HG002"
         # Serial reference first: warms the in-process lru cache and the
         # persistent workload cache the CLI's pool workers will read.
-        expected = speedup_table([name], lambda: kernel_suite(target="mm2"))
+        expected = speedup_table([name], lambda: build_suite("mm2"))
 
         out = tmp_path / "BENCH_quick.json"
         code = main(
@@ -100,7 +101,7 @@ class TestRunMode:
             _sys.modules.pop("cli_plugin_mod", None)
 
     def test_scoring_engine_flag_is_record_invariant(self, tmp_path, capsys):
-        """--scoring-engine batch-sliced changes wall-clock, never records."""
+        """--scoring-engine (even a deprecated dense one) never changes records."""
         name = "ONT-HG002"
         dense_out = tmp_path / "dense.json"
         sliced_out = tmp_path / "sliced.json"
@@ -110,7 +111,7 @@ class TestRunMode:
         ) == 0
         assert main(
             ["--figure", "quick", "--datasets", name, "--suites", "mm2",
-             "--scoring-engine", "batch-sliced", "--output", str(sliced_out),
+             "--scoring-engine", "batch", "--output", str(sliced_out),
              "--quiet"]
         ) == 0
         dense = BenchRecord.from_dict(json.loads(dense_out.read_text()))

@@ -62,14 +62,14 @@ class TestDeterminism:
         assert serial == parallel  # exact float equality, GeoMean included
 
     def test_factory_path_equals_suite_path(self, tiny_specs, tmp_path):
-        from repro.pipeline.experiment import kernel_suite
+        from repro.api import build_suite
 
         via_suite = run_speedup_table(
             tiny_specs, suite="diff", workers=1, **_cache_args(tmp_path)
         )
         via_factory = run_speedup_table(
             tiny_specs,
-            kernel_factory=lambda: kernel_suite(target="diff"),
+            kernel_factory=lambda: build_suite("diff"),
             **_cache_args(tmp_path),
         )
         assert via_suite == via_factory

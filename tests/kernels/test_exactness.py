@@ -7,6 +7,7 @@ heuristic kernels are checked to follow their own (different)
 specifications.
 """
 
+import numpy as np
 import pytest
 
 from repro.align.antidiagonal import antidiagonal_align
@@ -121,16 +122,18 @@ class TestConfigValidation:
             KernelConfig().replace(scoring_engine="scalar")
 
     def test_sliced_scoring_engine_primes_identical_profiles(self, task_batch):
-        """KernelConfig(scoring_engine="batch-sliced") is bit-invariant."""
+        """The default sliced vector priming equals the scalar profiles."""
         for task in task_batch:
             task.invalidate_profile()
-        kernel = AgathaKernel(KernelConfig(scoring_engine="batch-sliced"))
+        kernel = AgathaKernel(KernelConfig())
+        assert kernel.config.scoring_slice_width is not None
         results = kernel.run(task_batch)
         for got, want in zip(results, oracle_results(task_batch)):
             assert got.same_score(want)
-        dense = AgathaKernel(KernelConfig())
         for task in task_batch:
             sliced_profile = task.profile()
-            task.invalidate_profile()
-            dense.run([task])
-            assert task.profile().result == sliced_profile.result
+            scalar_profile = task.profile(force=True)
+            assert scalar_profile.result == sliced_profile.result
+            assert np.array_equal(
+                scalar_profile.antidiag_maxima, sliced_profile.antidiag_maxima
+            )

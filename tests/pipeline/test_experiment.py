@@ -2,15 +2,14 @@
 
 import pytest
 
+from repro.api import build_suite, compare_suite
 from repro.baselines.cpu_model import EPYC_16C_SSE4
 from repro.gpusim.device import RTX_A6000
 from repro.kernels import AgathaKernel, BaselineExactKernel
 from repro.pipeline.experiment import (
     ExperimentConfig,
     all_dataset_names,
-    compare_kernels,
     geometric_mean,
-    kernel_suite,
     scaled_hardware,
 )
 
@@ -29,20 +28,20 @@ class TestScaledHardware:
 
 class TestKernelSuite:
     def test_mm2_suite_contents(self):
-        suite = kernel_suite(target="mm2")
+        suite = build_suite("mm2")
         assert set(suite) == {"GASAL2", "SALoBa", "Manymap", "AGAThA"}
         assert all(k.target == "mm2" for k in suite.values())
 
     def test_diff_suite_contents(self):
-        suite = kernel_suite(target="diff")
+        suite = build_suite("diff")
         assert set(suite) == {"GASAL2", "SALoBa", "Manymap", "LOGAN"}
 
     def test_invalid_target(self):
-        with pytest.raises(ValueError):
-            kernel_suite(target="x")
+        with pytest.raises(KeyError, match="unknown suite"):
+            build_suite("x")
 
     def test_experiment_config_batch_size_flows_to_kernels(self):
-        suite = kernel_suite(ExperimentConfig(batch_size=17))
+        suite = build_suite("mm2", ExperimentConfig(batch_size=17).make_kernel_config())
         assert all(
             k.config.batched_scoring and k.config.batch_bucket_size == 17
             for k in suite.values()
@@ -51,10 +50,10 @@ class TestKernelSuite:
 
 class TestCompare:
     def test_compare_kernels_reports_speedups(self, task_batch):
-        results = compare_kernels(
+        results = compare_suite(
             task_batch,
             {"AGAThA": AgathaKernel(), "Baseline": BaselineExactKernel()},
-        )
+        ).to_dict()
         assert results["CPU"]["speedup_vs_cpu"] == 1.0
         assert results["AGAThA"]["time_ms"] > 0
         assert results["AGAThA"]["speedup_vs_cpu"] > results["Baseline"]["speedup_vs_cpu"]

@@ -14,7 +14,8 @@ from repro.analysis.workload import task_workload_antidiagonals
 from repro.baselines.aligner import Minimap2CpuAligner
 from repro.io.datasets import ReadProfile, simulate_reads, synthetic_reference
 from repro.kernels import AgathaKernel, BaselineExactKernel, SALoBaKernel
-from repro.pipeline.experiment import compare_kernels, geometric_mean, scaled_hardware
+from repro.api import compare_suite
+from repro.pipeline.experiment import geometric_mean, scaled_hardware
 from repro.pipeline.mapper import LongReadMapper
 
 
@@ -54,7 +55,7 @@ def test_end_to_end_pipeline():
     # Cost comparison: AGAThA beats the naive exact baseline, and the
     # speedup table renders.
     device, cpu_spec = scaled_hardware()
-    results = compare_kernels(
+    results = compare_suite(
         tasks,
         {
             "AGAThA": AgathaKernel(),
@@ -63,7 +64,7 @@ def test_end_to_end_pipeline():
         },
         device=device,
         cpu=cpu_spec,
-    )
+    ).to_dict()
     assert results["AGAThA"]["speedup_vs_cpu"] > results["Baseline"]["speedup_vs_cpu"]
     table = {
         name: {"mini": summary["speedup_vs_cpu"], "GeoMean": summary["speedup_vs_cpu"]}

@@ -26,7 +26,7 @@ from repro.serve.loadgen import LoadGenerator
 
 from serve_workloads import make_serve_tasks
 
-MODELED = ServeConfig(timing="modeled", max_batch_size=8, max_wait_ms=2.0)
+MODELED = ServeConfig(timing="modeled", max_batch_size=8, max_wait_ms=2.0, refill="drain")
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,7 @@ def trace(tasks):
 
 @pytest.fixture(scope="module")
 def direct(trace):
-    return list(Session(tasks=list(trace.tasks), engine="batch").align())
+    return list(Session(tasks=list(trace.tasks)).align())
 
 
 class TestShardRouter:
@@ -184,7 +184,7 @@ class TestClusterReplay:
         trace = generator.poisson(rate, n_requests, seed=seed)
         config = ClusterConfig(serve=MODELED, shards=shards, router=router)
         report = cluster_replay(trace, config)
-        direct = list(Session(tasks=list(trace.tasks), engine="batch").align())
+        direct = list(Session(tasks=list(trace.tasks)).align())
         assert report.results() == direct
 
 

@@ -24,7 +24,7 @@ from serve_workloads import make_serve_tasks
 #: A worker that never dispatches on its own: requests sent to it stay
 #: in flight until shutdown drains them (or a crash strands them), which
 #: makes the crash/admission tests deterministic.
-STALLED = ServeConfig(engine="batch", max_batch_size=64, max_wait_ms=10_000.0)
+STALLED = ServeConfig(refill="drain", max_batch_size=64, max_wait_ms=10_000.0)
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +34,7 @@ def tasks():
 
 @pytest.fixture(scope="module")
 def direct(tasks):
-    return list(Session(tasks=tasks, engine="batch").align())
+    return list(Session(tasks=tasks).align())
 
 
 def _shard_of(router, tasks):
@@ -44,7 +44,7 @@ def _shard_of(router, tasks):
 class TestClusterService:
     def test_map_matches_align(self, tasks, direct):
         config = ClusterConfig(
-            serve=ServeConfig(engine="batch", max_batch_size=8, max_wait_ms=1.0),
+            serve=ServeConfig(refill="drain", max_batch_size=8, max_wait_ms=1.0),
             shards=2,
         )
         with ClusterService(config) as cluster:
@@ -52,7 +52,7 @@ class TestClusterService:
             assert cluster.alive_shards() == [0, 1]
 
     def test_session_serve_shards(self, tasks, direct):
-        service = Session(tasks=tasks, engine="batch").serve(shards=2)
+        service = Session(tasks=tasks).serve(shards=2)
         assert isinstance(service, ClusterService)
         with service:
             assert service.map(tasks) == direct
@@ -61,7 +61,7 @@ class TestClusterService:
         from repro.serve import SERVE_SCHEMA_VERSION
 
         config = ClusterConfig(
-            serve=ServeConfig(engine="batch", max_batch_size=8, max_wait_ms=1.0),
+            serve=ServeConfig(refill="drain", max_batch_size=8, max_wait_ms=1.0),
             shards=2,
         )
         with ClusterService(config) as cluster:
@@ -129,7 +129,7 @@ class TestCrashHandling:
         """After a crash the shard is replaced (max_restarts) and new
         submissions to it are served normally."""
         config = ClusterConfig(
-            serve=ServeConfig(engine="batch", max_batch_size=8, max_wait_ms=1.0),
+            serve=ServeConfig(refill="drain", max_batch_size=8, max_wait_ms=1.0),
             shards=2,
             retry_failed=True,
             max_restarts=1,
@@ -197,7 +197,7 @@ class TestLiveAdmission:
 
     def test_queue_policy_backpressures_without_loss(self, tasks, direct):
         config = ClusterConfig(
-            serve=ServeConfig(engine="batch", max_batch_size=1, max_wait_ms=0.5),
+            serve=ServeConfig(refill="drain", max_batch_size=1, max_wait_ms=0.5),
             shards=1,
             admission="queue",
             max_pending=2,
@@ -213,7 +213,7 @@ class TestSpawnStartMethod:
         """Workers started with spawn rebuild the engine registry from
         the engine's defining module (the bench/runner.py pattern)."""
         config = ClusterConfig(
-            serve=ServeConfig(engine="batch", max_batch_size=8, max_wait_ms=1.0),
+            serve=ServeConfig(refill="drain", max_batch_size=8, max_wait_ms=1.0),
             shards=2,
             start_method="spawn",
         )

@@ -44,13 +44,13 @@ def _make_trace(kind, rate, n, seed):
 class TestContinuousExactness:
     def test_continuous_equals_drain_and_align(self, generator):
         trace = generator.bursty(2000.0, 40, on_ms=4.0, off_ms=12.0, seed=9)
-        base = ServeConfig(engine="batch-sliced", timing="modeled", max_batch_size=8)
+        base = ServeConfig(engine="vector", timing="modeled", max_batch_size=8)
         assert base.resolved_refill() == "continuous"
         continuous = replay(trace, base)
         drain = replay(trace, base.replace(refill="drain"))
         assert continuous.results() == drain.results()
         direct = align_tasks(
-            [request.task for request in trace.requests()], engine="batch-sliced"
+            [request.task for request in trace.requests()], engine="vector"
         )
         assert continuous.results() == direct
 
@@ -58,7 +58,7 @@ class TestContinuousExactness:
         trace = generator.poisson(3000.0, 32, seed=5)
         report = replay(
             trace,
-            ServeConfig(engine="batch-sliced", timing="modeled", max_batch_size=8),
+            ServeConfig(engine="vector", timing="modeled", max_batch_size=8),
         )
         assert report.policy == "continuous"
         lanes = report.telemetry["lane_occupancy"]
@@ -81,7 +81,7 @@ class TestContinuousExactness:
     ):
         trace = _make_trace(kind, rate, n, seed)
         config = ServeConfig(
-            engine="batch-sliced",
+            engine="vector",
             timing="modeled",
             max_batch_size=capacity,
             max_wait_ms=1.0,
@@ -101,7 +101,7 @@ class TestContinuousExactness:
             seen.append(len(tasks))
             return 0.25
 
-        config = ServeConfig(engine="batch-sliced", max_batch_size=4)
+        config = ServeConfig(engine="vector", max_batch_size=4)
         report = replay(trace, config, service_time=service)
         assert report.telemetry["requests"] == 10
         assert seen and all(0 <= count <= 4 for count in seen)
@@ -113,7 +113,7 @@ class TestMaxWaitInvariant:
         """Virtual-clock replay: refill never violates max_wait_ms."""
         trace = generator.bursty(1500.0, 48, on_ms=6.0, off_ms=18.0, seed=11)
         config = ServeConfig(
-            engine="batch-sliced",
+            engine="vector",
             max_batch_size=8,
             max_wait_ms=2.5,
             refill=refill,
@@ -128,7 +128,7 @@ class TestMaxWaitInvariant:
         by the deadline."""
         trace = generator.poisson(4000.0, 24, seed=13)
         config = ServeConfig(
-            engine="batch-sliced",
+            engine="vector",
             timing="modeled",
             max_batch_size=24,
             max_wait_ms=50.0,
@@ -145,21 +145,21 @@ class TestMaxWaitInvariant:
 
 class TestServeConfigStreaming:
     def test_auto_resolution(self):
-        assert ServeConfig(engine="batch").resolved_refill() == "drain"
-        assert ServeConfig(engine="batch-sliced").resolved_refill() == "continuous"
+        assert ServeConfig(engine="scalar").resolved_refill() == "drain"
+        assert ServeConfig(engine="vector").resolved_refill() == "continuous"
 
     def test_policy_names(self):
-        assert ServeConfig(engine="batch").policy_name == "microbatch"
-        assert ServeConfig(engine="batch-sliced").policy_name == "continuous"
-        assert ServeConfig(engine="batch-sliced", max_batch_size=1).policy_name == "batch1"
+        assert ServeConfig(engine="scalar").policy_name == "microbatch"
+        assert ServeConfig(engine="vector").policy_name == "continuous"
+        assert ServeConfig(engine="vector", max_batch_size=1).policy_name == "batch1"
         assert (
-            ServeConfig(engine="batch-sliced", refill="drain").policy_name
+            ServeConfig(engine="vector", refill="drain").policy_name
             == "microbatch"
         )
 
     def test_continuous_requires_streaming_engine(self):
         with pytest.raises(ValueError, match="streaming"):
-            ServeConfig(engine="batch", refill="continuous")
+            ServeConfig(engine="scalar", refill="continuous")
 
     def test_unknown_refill_mode(self):
         with pytest.raises(ValueError, match="refill"):

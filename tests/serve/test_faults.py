@@ -34,7 +34,7 @@ from repro.serve.loadgen import LoadGenerator
 
 from serve_workloads import make_serve_tasks
 
-MODELED = ServeConfig(timing="modeled", max_batch_size=8, max_wait_ms=2.0)
+MODELED = ServeConfig(timing="modeled", max_batch_size=8, max_wait_ms=2.0, refill="drain")
 
 ROUTER_POLICIES = ("hash", "length", "stable")
 
@@ -65,7 +65,7 @@ def trace(tasks):
 
 @pytest.fixture(scope="module")
 def direct(trace):
-    return list(Session(tasks=list(trace.tasks), engine="batch").align())
+    return list(Session(tasks=list(trace.tasks)).align())
 
 
 class TestFaultPlanValidation:
@@ -188,7 +188,7 @@ class TestChaosMatrix:
 
     def test_dispatch_faults_rejected_under_continuous_refill(self, trace):
         streaming = ServeConfig(
-            engine="batch-sliced", timing="modeled", refill="continuous"
+            engine="vector", timing="modeled", refill="continuous"
         )
         config = ClusterConfig(serve=streaming, shards=2)
         with pytest.raises(ValueError, match="continuous"):
@@ -242,7 +242,7 @@ class TestElasticChaosSweep:
 
 @pytest.fixture(scope="module")
 def direct_tasks(tasks):
-    return list(Session(tasks=list(tasks), engine="batch").align())
+    return list(Session(tasks=list(tasks)).align())
 
 
 class TestLiveFaults:
@@ -256,7 +256,7 @@ class TestLiveFaults:
             duplicates=(DuplicateFault(shard=0, dispatch=3),),
         )
         config = ClusterConfig(
-            serve=ServeConfig(engine="batch", max_batch_size=4, max_wait_ms=1.0),
+            serve=ServeConfig(refill="drain", max_batch_size=4, max_wait_ms=1.0),
             shards=2,
             retry_failed=True,
             faults=plan,
@@ -278,7 +278,7 @@ class TestLiveFaults:
         its second placement."""
         plan = FaultPlan(crashes=(CrashFault(shard=1, after_requests=2),))
         config = ClusterConfig(
-            serve=ServeConfig(engine="batch", max_batch_size=4, max_wait_ms=1.0),
+            serve=ServeConfig(refill="drain", max_batch_size=4, max_wait_ms=1.0),
             shards=2,
             retry_failed=True,
             class_limits={0: 4},
@@ -304,7 +304,7 @@ class TestLiveFaults:
     def test_live_crash_without_retry_fails_stranded_futures(self, tasks):
         plan = FaultPlan(crashes=(CrashFault(shard=0, after_requests=2),))
         config = ClusterConfig(
-            serve=ServeConfig(engine="batch", max_batch_size=2, max_wait_ms=1.0),
+            serve=ServeConfig(refill="drain", max_batch_size=2, max_wait_ms=1.0),
             shards=1,
             max_restarts=0,
             faults=plan,

@@ -16,7 +16,7 @@ from repro.serve import ClusterConfig, ClusterService, ServeConfig
 
 from serve_workloads import make_serve_tasks
 
-LIVE = ServeConfig(engine="batch", max_batch_size=4, max_wait_ms=1.0)
+LIVE = ServeConfig(refill="drain", max_batch_size=4, max_wait_ms=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +26,7 @@ def tasks():
 
 @pytest.fixture(scope="module")
 def direct(tasks):
-    return list(Session(tasks=tasks, engine="batch").align())
+    return list(Session(tasks=tasks).align())
 
 
 class TestScaleTo:

@@ -7,7 +7,7 @@ from repro.serve import ServeConfig, modeled_service_ms, replay
 
 
 def _modeled(**overrides):
-    base = dict(timing="modeled", max_batch_size=8, max_wait_ms=3.0)
+    base = dict(timing="modeled", max_batch_size=8, max_wait_ms=3.0, refill="drain")
     base.update(overrides)
     return ServeConfig(**base)
 
@@ -42,7 +42,7 @@ class TestSchedulerInvariants:
         """With an idle server (zero service time) no request may sit in
         the queue past ``max_wait_ms`` -- the tentpole invariant."""
         trace = generator.poisson(2000.0, 120)
-        config = ServeConfig(max_batch_size=16, max_wait_ms=2.5)
+        config = ServeConfig(max_batch_size=16, max_wait_ms=2.5, refill="drain")
         report = replay(trace, config, service_time=lambda tasks: 0.0)
         for request in report.requests:
             assert request.wait_ms <= 2.5 + 1e-9, (
@@ -69,7 +69,7 @@ class TestSchedulerInvariants:
         # Slow constant service + fast arrivals: the queue backs up and
         # batches reach max_batch_size.
         trace = generator.poisson(10000.0, 64)
-        config = ServeConfig(max_batch_size=8, max_wait_ms=1.0)
+        config = ServeConfig(max_batch_size=8, max_wait_ms=1.0, refill="drain")
         report = replay(trace, config, service_time=lambda tasks: 25.0)
         occupancy = report.telemetry["batch_occupancy"]
         assert occupancy.get("8", 0) >= 4
@@ -92,7 +92,7 @@ class TestSchedulerInvariants:
 
         register_engine(
             "short-serve-test",
-            lambda tasks, *, batch_size: align_tasks(tasks, engine="batch")[:-1],
+            lambda tasks, *, batch_size: align_tasks(tasks)[:-1],
         )
         try:
             trace = generator.replay(1000.0, 4)
@@ -107,8 +107,8 @@ class TestServedEquivalence:
         """The acceptance property: serving changes scheduling, never
         results.  Full AlignmentResult equality, not just scores."""
         trace = generator.poisson(2500.0, 48, seed=8)
-        report = replay(trace, _modeled(max_batch_size=8, engine="batch"))
-        direct = Session(tasks=list(trace.tasks), engine="batch").align()
+        report = replay(trace, _modeled(max_batch_size=8))
+        direct = Session(tasks=list(trace.tasks)).align()
         assert report.results() == list(direct.results)
 
     def test_scalar_engine_serves_identically_too(self, generator):
@@ -150,7 +150,7 @@ class TestReportAndConfig:
             ServeConfig(engine="no-such-engine")
 
     def test_config_replace_and_policy_name(self):
-        config = ServeConfig(max_batch_size=16)
+        config = ServeConfig(max_batch_size=16, refill="drain")
         assert config.policy_name == "microbatch"
         anchor = config.replace(max_batch_size=1)
         assert anchor.policy_name == "batch1"

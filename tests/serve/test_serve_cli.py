@@ -18,6 +18,7 @@ class TestServeCli:
                 "--arrival", "poisson",
                 "--rate", "800",
                 "--timing", "modeled",
+                "--refill", "drain",
                 "--max-batch", "8",
                 "--max-wait-ms", "2.0",
                 "--output", str(out),
@@ -53,6 +54,7 @@ class TestServeCli:
         code = main(
             [
                 "--requests", "8", "--timing", "modeled", "--no-baseline",
+                "--refill", "drain",
                 "--output", str(out), "--quiet",
             ]
         )

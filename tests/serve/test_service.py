@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.api import Session
+from repro.api import EngineOptions, Session
 from repro.serve import AlignmentService, ServeConfig
 
 
 def _config(**overrides):
-    base = dict(max_batch_size=8, max_wait_ms=2.0)
+    base = dict(max_batch_size=8, max_wait_ms=2.0, refill="drain")
     base.update(overrides)
     return ServeConfig(**base)
 
@@ -20,9 +20,9 @@ class TestLiveService:
         assert served == list(direct.results)
 
     def test_session_serve_entry_point(self, serve_tasks):
-        session = Session(tasks=serve_tasks, engine="batch", batch_size=16)
+        session = Session(tasks=serve_tasks, options=EngineOptions(batch_size=16))
         with session.serve(max_wait_ms=1.0, max_batch_size=4) as service:
-            assert service.config.engine == "batch"
+            assert service.config.engine == "vector"
             assert service.config.batch_size == 16
             assert service.config.max_batch_size == 4
             served = service.map(serve_tasks)
@@ -41,8 +41,9 @@ class TestLiveService:
         assert served == list(Session(tasks=serve_tasks).align().results)
 
     def test_sliced_engine_flows_through_serving(self, serve_tasks):
-        """ServeConfig(engine="batch-sliced") needs no serve-side changes."""
-        with AlignmentService(_config(engine="batch-sliced")) as service:
+        """The sliced vector engine streams with no serve-side changes."""
+        with AlignmentService(_config(refill="auto")) as service:
+            assert service.config.resolved_refill() == "continuous"
             served = service.map(serve_tasks)
         assert served == list(Session(tasks=serve_tasks).align().results)
 
@@ -82,7 +83,7 @@ class TestLiveService:
         def short_engine(tasks, batch_size):
             from repro.api.engines import align_tasks
 
-            return align_tasks(tasks, engine="batch", batch_size=batch_size)[:-1]
+            return align_tasks(tasks, options=EngineOptions(batch_size=batch_size))[:-1]
 
         service._engine = short_engine
         future = service.submit(serve_tasks[0])

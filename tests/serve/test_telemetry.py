@@ -116,7 +116,9 @@ class TestServeBenchRecord:
     @pytest.fixture
     def reports(self, generator):
         trace = generator.poisson(2000.0, 40)
-        config = ServeConfig(timing="modeled", max_batch_size=8, max_wait_ms=2.0)
+        config = ServeConfig(
+            timing="modeled", max_batch_size=8, max_wait_ms=2.0, refill="drain"
+        )
         micro = replay(trace, config, policy="microbatch")
         anchor = replay(trace, config.replace(max_batch_size=1), policy="batch1")
         return micro, anchor

@@ -91,10 +91,10 @@ class TestGeneration:
             assert chunk == sorted(chunk)
 
     def test_junk_tails_trigger_zdrop(self):
-        from repro.align.batch import batch_align
+        from repro.align.vector import vector_align
 
         tasks = spec(num_tasks=32, seed=3).build_tasks()
-        results = batch_align(tasks)
+        results = vector_align(tasks)
         assert any(r.terminated for r in results), (
             "junk tails should make Z-drop fire on some tasks"
         )

@@ -112,7 +112,7 @@ class TestIntegration:
 
         scores = {
             engine: Session(dataset="adv-bimodal", engine=engine).align().scores
-            for engine in ("scalar", "batch", "batch-sliced", "vector")
+            for engine in ("scalar", "vector")
         }
         reference = scores.pop("scalar")
         for engine, got in scores.items():
