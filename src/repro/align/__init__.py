@@ -44,7 +44,9 @@ The modules are organised bottom-up:
     8x8 cell block decomposition of the banded score table (the smallest
     unit of work distribution on the GPU, Figure 2a).
 ``traceback``
-    Optional alignment path / CIGAR reconstruction for the examples.
+    Alignment path / CIGAR reconstruction: the scalar per-cell oracle
+    (``traceback_align``) and the batched whole-array sweep behind
+    ``cigars=True`` (``batch_traceback``), which reproduces it exactly.
 ``types``
     The task / result dataclasses shared by all of the above.
 """

@@ -342,12 +342,12 @@ def align_tasks(
     The core implementation behind :meth:`repro.api.Session.align`.
     Tuning knobs travel as a typed :class:`EngineOptions`.
 
-    With ``cigars=True`` the scored tasks are additionally replayed
-    through the band-limited traceback
+    With ``cigars=True`` the scored tasks additionally go through the
+    batched traceback sweep
     (:func:`repro.align.traceback.batch_traceback`) and the return value
     becomes a list of :class:`~repro.align.traceback.TracebackResult`
-    whose ``.result`` fields are the engine's outputs, cross-checked
-    field by field against each replay.  The engine still does the
+    whose ``.result`` fields equal the engine's outputs, cross-checked
+    field by field against the sweep's own.  The engine still does the
     scoring -- the traceback only reconstructs paths -- so scores with
     and without ``cigars`` are bit-identical for every engine.
 

@@ -34,9 +34,10 @@ class AlignmentOutcome:
     """A scored workload: which engine ran and what it produced.
 
     ``cigars`` is populated only when the workload was scored with
-    ``cigars=True``: one band-limited traceback replay per task, in task
-    order, each cross-checked field by field against the engine result
-    (see :func:`repro.align.traceback.batch_traceback`).
+    ``cigars=True``: one traceback per task, in task order, from the
+    batched traceback sweep, whose own alignment result for each task is
+    cross-checked field by field against the engine result (see
+    :func:`repro.align.traceback.batch_traceback`).
     """
 
     engine: str

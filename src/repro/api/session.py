@@ -291,8 +291,9 @@ class Session:
     ) -> AlignmentOutcome:
         """Score the workload (or ``tasks``) with the configured engine.
 
-        ``cigars=True`` additionally replays every scored task through
-        the band-limited traceback and fills
+        ``cigars=True`` additionally runs the scored tasks through the
+        batched traceback sweep
+        (:func:`~repro.align.traceback.batch_traceback`) and fills
         :attr:`AlignmentOutcome.cigars` with one
         :class:`~repro.align.traceback.TracebackResult` per task, each
         cross-checked field by field against the engine's result.  The
