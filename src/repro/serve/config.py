@@ -6,8 +6,8 @@ virtual-clock replay and the threaded service unchanged and both behave
 identically (same batches, same engine calls).
 
 Streaming engines add one knob: ``refill``.  With ``"drain"`` the
-scheduler runs the classic drain-then-form loop (a dispatched batch runs
-to completion before the queue is looked at again); with
+scheduler applies the classic drain-then-form rule (a dispatched batch
+runs to completion before the queue is looked at again); with
 ``"continuous"`` it keeps one :class:`repro.api.InFlightBatch` open and
 admits pending requests into lanes freed by compaction at every slice
 boundary.  The default ``"auto"`` picks continuous refill exactly when

@@ -7,29 +7,41 @@ dispatch to completion, and every formed batch is executed **for real**
 through the configured :mod:`repro.api` engine (results are the point of
 serving; only *time* is simulated).
 
-Two dispatch disciplines, selected by ``config.resolved_refill()``:
+One event loop serves both refill modes (``config.resolved_refill()``),
+with two admission rules:
 
-``"drain"`` (drain-then-form)
-    The classic loop: ``config.workers`` parallel servers are modeled as
-    a bank of busy-until times, a dispatched batch runs to completion,
-    and only then is the queue looked at again.  Batches execute through
-    a one-shot :class:`repro.api.InFlightBatch` handle (streaming
-    engines still stream internally, but get no refill).
-``"continuous"`` (continuous lane refill)
-    One streaming handle stays open for the whole busy period.  The
-    clock advances one engine *slice* at a time; at every slice boundary
-    newly arrived requests are admitted into lanes freed by compaction
-    (:meth:`MicroBatcher.take`, priority-ordered).  While the stream is
-    idle the normal cut conditions apply unchanged, so the
-    ``max_wait_ms`` contract is preserved -- refill admission can only
-    shorten waits, never lengthen them.
+idle server -- the cut rule
+    A batch is dispatched at ``t = max(ready, free)``.  Ready is "queue
+    reached ``max_batch_size``" or "oldest pending request hit its
+    deadline"; free is the earliest free server -- the first of
+    ``config.workers`` busy-until times under ``"drain"``
+    (drain-then-form), the single stream under ``"continuous"``.  An
+    earlier arrival that could change the batch moves the clock to that
+    arrival first.  Ties (an arrival at exactly the dispatch time)
+    resolve in favour of dispatching, so a request never waits on a
+    same-instant arrival.  Stalls push the dispatch time, and dropped or
+    duplicated dispatches are indexed here.
+busy stream -- refill
+    Under continuous refill one streaming handle stays open for the whole
+    busy period; at every slice boundary newly arrived requests are
+    admitted into lanes freed by compaction (:meth:`MicroBatcher.take`,
+    priority-ordered).  Refill admission can only shorten waits, never
+    lengthen them, so the ``max_wait_ms`` contract holds in both modes.
+
+The modes differ only in how far a dispatched batch runs.  Under
+``"drain"`` it runs to completion on one worker through a one-shot
+:class:`repro.api.InFlightBatch` handle (streaming engines still stream
+internally, but get no refill) while the clock moves on; under
+``"continuous"`` the stream advances one engine *slice* and the clock
+with it.
 
 Three timing sources:
 
 ``timing="measured"``
-    The engine call (one drained batch, or one slice) is wall-clocked
-    and that duration is charged to the virtual clock -- an offline load
-    test of the real engine, which is what the serve benchmark records.
+    The engine call (handle construction plus drain, or one slice) is
+    wall-clocked and that duration is charged to the virtual clock -- an
+    offline load test of the real engine, which is what the serve
+    benchmark records.
 ``timing="modeled"``
     Service time comes from :func:`modeled_service_ms` (per batch) or
     :func:`modeled_slice_ms` (per slice), deterministic linear models;
@@ -42,15 +54,6 @@ Three timing sources:
 ``service_time=...``
     An injectable override (tests use constants): called per batch in
     drain mode, per slice (with the live tasks) in continuous mode.
-
-The drain event loop has one rule worth stating: a batch is dispatched
-at ``t = max(worker-free time, ready time)`` where ready is "queue
-reached ``max_batch_size``" or "oldest pending request hit its deadline"
--- unless an earlier arrival would change the picture, in which case the
-clock advances to that arrival first.  Ties (an arrival at exactly the
-dispatch time) resolve in favour of dispatching, so a request never
-waits on a same-instant arrival.  The continuous loop inherits the same
-rule for dispatches into an idle stream.
 """
 
 from __future__ import annotations
@@ -58,8 +61,9 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
+from repro.align.streaming import InFlightBatch, SliceStats
 from repro.align.vector import DEFAULT_SLICE_WIDTH
 from repro.align.types import AlignmentResult, AlignmentTask
 from repro.serve.config import ServeConfig
@@ -71,6 +75,7 @@ from repro.serve.telemetry import TelemetrySink
 __all__ = ["ServeReport", "modeled_service_ms", "modeled_slice_ms", "replay"]
 
 _INF = float("inf")
+_T = TypeVar("_T")
 
 #: Signature of an injectable service-time model: batch tasks -> ms.
 ServiceTime = Callable[[Sequence[AlignmentTask]], float]
@@ -181,303 +186,184 @@ def replay(
     configured engine -- neither batching, refill nor fault timing ever
     changes the arithmetic.
     """
+    from repro.api.engines import open_batch
+
     config = config or ServeConfig()
+    stalls = faults.stalls if faults is not None else ()
+    drops = faults.drops if faults is not None else frozenset()
+    duplicates = faults.duplicates if faults is not None else frozenset()
+    options = config.engine_options()
+    stream: Optional[InFlightBatch] = None
     if config.resolved_refill() == "continuous":
-        if faults is not None and (faults.drops or faults.duplicates):
+        if drops or duplicates:
             raise ValueError(
                 "drop/duplicate faults address drain-mode batch dispatches; "
                 "continuous refill has no discrete dispatch stream to index "
                 "(use delay faults, or refill='drain')"
             )
-        return _replay_continuous(
-            trace, config, policy=policy, service_time=service_time, sink=sink,
-            faults=faults,
+        stream = open_batch(
+            (), engine=config.engine, options=options, capacity=config.max_batch_size
         )
-    return _replay_drain(
-        trace, config, policy=policy, service_time=service_time, sink=sink,
-        faults=faults,
+    slice_width = (
+        options.slice_width if options.slice_width is not None else DEFAULT_SLICE_WIDTH
     )
-
-
-# ----------------------------------------------------------------------
-# drain-then-form
-# ----------------------------------------------------------------------
-def _replay_drain(
-    trace: RequestTrace,
-    config: ServeConfig,
-    *,
-    policy: Optional[str],
-    service_time: Optional[ServiceTime],
-    sink: Optional[TelemetrySink] = None,
-    faults: Optional[ShardFaults] = None,
-) -> ServeReport:
-    from repro.api.engines import open_batch
-
-    options = config.engine_options()
     requests = trace.requests()
     queue = deque(sorted(requests, key=lambda r: (r.arrival_ms, r.request_id)))
     batcher = MicroBatcher(
         config.max_batch_size, config.max_wait_ms, length_aware=config.length_aware
     )
-    workers = [0.0] * config.workers
     sink = sink if sink is not None else TelemetrySink()
-    stalls = faults.stalls if faults is not None else ()
-    drops = faults.drops if faults is not None else frozenset()
-    duplicates = faults.duplicates if faults is not None else frozenset()
+    workers = [0.0] * config.workers  # busy-until times (drain-then-form)
+    inflight: Dict[int, ServeRequest] = {}  # stream lane -> request (continuous)
     stall_idx = 0
     dispatch_index = 0
     now = 0.0
     makespan_end = 0.0
 
+    def admit_until(limit_ms: float) -> None:
+        while queue and queue[0].arrival_ms <= limit_ms:
+            batcher.add(queue.popleft())
+            sink.record_queue_depth(len(batcher))
+
     def stalled(at_ms: float) -> Tuple[float, int]:
-        """Dispatch time after stalls due by ``at_ms``, plus the stall
-        cursor to commit *if* the dispatch happens (an earlier arrival may
-        still preempt it, so application is non-destructive)."""
+        """Time ``at_ms`` becomes after the stalls due by then, plus the
+        stall cursor to commit *if* it is used (an earlier arrival may
+        still preempt a dispatch, so application is non-destructive)."""
         cursor = stall_idx
         while cursor < len(stalls) and stalls[cursor][0] <= at_ms:
             at_ms = max(at_ms, stalls[cursor][0] + stalls[cursor][1])
             cursor += 1
         return at_ms, cursor
 
-    def admit_until(limit_ms: float) -> None:
-        while queue and queue[0].arrival_ms <= limit_ms:
-            batcher.add(queue.popleft())
-            sink.record_queue_depth(len(batcher))
-
-    def execute(tasks: Sequence[AlignmentTask]) -> Tuple[List[AlignmentResult], float]:
-        capacity = max(config.max_batch_size, len(tasks))
+    def charge(
+        run: Callable[[], _T], tasks: Sequence[AlignmentTask], modeled_ms: float
+    ) -> Tuple[_T, float]:
+        """Run one engine call and return its output and service time."""
+        started = time.perf_counter()
+        out = run()
         if service_time is not None:
-            handle = open_batch(
-                tasks, engine=config.engine, options=options, capacity=capacity
-            )
-            results = handle.drain()
             duration = float(service_time(tasks))
         elif config.timing == "modeled":
-            handle = open_batch(
-                tasks, engine=config.engine, options=options, capacity=capacity
-            )
-            results = handle.drain()
-            duration = modeled_service_ms(tasks, config)
+            duration = modeled_ms
         else:
-            started = time.perf_counter()
-            handle = open_batch(
-                tasks, engine=config.engine, options=options, capacity=capacity
-            )
-            results = handle.drain()
             duration = (time.perf_counter() - started) * 1000.0
-        for stat in handle.stats:
-            sink.record_slice(stat)
-        return results, duration
-
-    while queue or len(batcher):
-        next_arrival = queue[0].arrival_ms if queue else _INF
-        if not len(batcher):
-            now = max(now, next_arrival)
-            admit_until(now)
-            continue
-        free_at = min(workers)
-        if batcher.size_ready():
-            dispatch_at = max(now, free_at)
-        else:
-            deadline = batcher.next_deadline_ms()
-            assert deadline is not None
-            dispatch_at = max(deadline, free_at)
-        dispatch_at, stall_cursor = stalled(dispatch_at)
-        if next_arrival < dispatch_at:
-            # An arrival precedes the would-be dispatch and may fill the
-            # batch (or become its length-mate); admit it first.
-            now = next_arrival
-            admit_until(now)
-            continue
-        now = max(now, dispatch_at)
-        for _ in range(stall_cursor - stall_idx):
-            sink.record_fault("delays")
-        stall_idx = stall_cursor
-        batch = batcher.form_batch(now)
-        sink.record_queue_depth(len(batcher))  # dispatched requests left the queue
-        this_dispatch = dispatch_index
-        dispatch_index += 1
-        if this_dispatch in drops:
-            # The send was lost before reaching the worker: the batch
-            # returns to the queue and goes out on a later dispatch.
-            sink.record_fault("dropped")
-            batcher.restore(batch)
-            sink.record_queue_depth(len(batcher))
-            continue
-        tasks = [request.task for request in batch]
-        results, duration = execute(tasks)
-        if len(results) != len(batch):
-            raise ValueError(
-                f"engine {config.engine!r} returned {len(results)} results "
-                f"for a batch of {len(batch)} tasks"
-            )
         if duration < 0:
             raise ValueError("service time must be non-negative")
-        slot = workers.index(free_at)
-        if this_dispatch in duplicates:
-            # Delivered twice: the worker serves both copies (the slot
-            # stays busy for two service times) but results are stamped
-            # once, at the first copy's completion.
-            sink.record_fault("duplicated")
-            workers[slot] = now + 2 * duration
-        else:
-            workers[slot] = now + duration
-        completion = now + duration
-        makespan_end = max(makespan_end, completion)
-        sink.record_batch(len(batch))
-        for request, result in zip(batch, results):
-            request.result = result
-            request.completion_ms = completion
-            sink.record_request(request.wait_ms, request.latency_ms)
+        return out, duration
 
-    return ServeReport(
-        policy=policy if policy is not None else config.policy_name,
-        workload=trace.name,
-        config=config,
-        requests=tuple(requests),
-        makespan_ms=makespan_end,
-        telemetry=sink.summary(),
-    )
+    def drain_batch(
+        tasks: List[AlignmentTask],
+    ) -> Tuple[List[AlignmentResult], Sequence[SliceStats]]:
+        handle = open_batch(
+            tasks,
+            engine=config.engine,
+            options=options,
+            capacity=max(config.max_batch_size, len(tasks)),
+        )
+        return handle.drain(), handle.stats
 
-
-# ----------------------------------------------------------------------
-# continuous lane refill
-# ----------------------------------------------------------------------
-def _replay_continuous(
-    trace: RequestTrace,
-    config: ServeConfig,
-    *,
-    policy: Optional[str],
-    service_time: Optional[ServiceTime],
-    sink: Optional[TelemetrySink] = None,
-    faults: Optional[ShardFaults] = None,
-) -> ServeReport:
-    """One streaming handle, refilled at every slice boundary.
-
-    Models a single device whose lane capacity is ``max_batch_size``
-    (``config.workers`` is a drain-mode knob).  The invariant split:
-
-    * stream **idle** -- the normal cut conditions decide when to
-      dispatch, exactly like drain mode, so ``max_wait_ms`` holds;
-    * stream **busy** -- refill is free: every pending request is
-      admitted into a free lane at the very next slice boundary,
-      priority classes first (length-aware grouping never delays
-      refill).
-    """
-    from repro.api.engines import open_batch
-
-    options = config.engine_options()
-    slice_width = (
-        options.slice_width if options.slice_width is not None else DEFAULT_SLICE_WIDTH
-    )
-    stream = open_batch(
-        (), engine=config.engine, options=options, capacity=config.max_batch_size
-    )
-    requests = trace.requests()
-    queue = deque(sorted(requests, key=lambda r: (r.arrival_ms, r.request_id)))
-    batcher = MicroBatcher(
-        config.max_batch_size, config.max_wait_ms, length_aware=config.length_aware
-    )
-    sink = sink if sink is not None else TelemetrySink()
-    inflight: Dict[int, ServeRequest] = {}
-    stalls = faults.stalls if faults is not None else ()
-    stall_idx = 0
-    now = 0.0
-    makespan_end = 0.0
-
-    def admit_until(limit_ms: float) -> None:
-        while queue and queue[0].arrival_ms <= limit_ms:
-            batcher.add(queue.popleft())
-            sink.record_queue_depth(len(batcher))
-
-    def stalled(at_ms: float) -> Tuple[float, int]:
-        """Non-destructive stall application (see ``_replay_drain``)."""
-        cursor = stall_idx
-        while cursor < len(stalls) and stalls[cursor][0] <= at_ms:
-            at_ms = max(at_ms, stalls[cursor][0] + stalls[cursor][1])
-            cursor += 1
-        return at_ms, cursor
-
-    def admit_to_stream(batch: List[ServeRequest]) -> None:
-        indices = stream.admit([request.task for request in batch])
-        for index, request in zip(indices, batch):
-            inflight[index] = request
-
-    while queue or len(batcher) or stream.live:
-        admit_until(now)
-        busy_start = stream.live == 0
-        admitted_now = 0
-        if stream.live:
-            # Refill: freed lanes take pending requests immediately.
-            taken = batcher.take(stream.free, now) if stream.free else []
-            if taken:
-                admit_to_stream(taken)
-                for request in taken:
-                    request.batch_occupancy = stream.live
-                admitted_now = len(taken)
-                sink.record_refill(len(taken))
+    while queue or len(batcher) or (stream is not None and stream.live):
+        if stream is not None and stream.live:
+            # Busy stream: freed lanes take pending requests at this slice
+            # boundary, priority classes first.
+            batch = batcher.take(stream.free, now)
+            busy_start = False
+            if batch:
+                sink.record_refill(len(batch))
                 sink.record_queue_depth(len(batcher))
         else:
             next_arrival = queue[0].arrival_ms if queue else _INF
             if not len(batcher):
-                if not queue:
-                    break
                 now = max(now, next_arrival)
+                admit_until(now)
                 continue
-            if batcher.size_ready():
-                dispatch_at = now
-            else:
-                deadline = batcher.next_deadline_ms()
-                assert deadline is not None
-                dispatch_at = max(deadline, now)
-            dispatch_at, stall_cursor = stalled(dispatch_at)
+            # Idle server: cut when a full batch is pending or the oldest
+            # request's deadline falls due, once the earliest server frees.
+            deadline = batcher.next_deadline_ms()
+            assert deadline is not None
+            ready = now if batcher.size_ready() else deadline
+            free_at = min(workers) if stream is None else now
+            dispatch_at, stall_cursor = stalled(max(ready, free_at))
             if next_arrival < dispatch_at:
+                # An arrival precedes the would-be dispatch and may fill the
+                # batch (or become its length-mate); admit it first.
                 now = next_arrival
+                admit_until(now)
                 continue
             now = max(now, dispatch_at)
-            for _ in range(stall_cursor - stall_idx):
-                sink.record_fault("delays")
+            sink.record_fault("delays", stall_cursor - stall_idx)
             stall_idx = stall_cursor
             batch = batcher.form_batch(now)
-            admit_to_stream(batch)
-            admitted_now = len(batch)
+            sink.record_queue_depth(len(batcher))  # dispatched requests left the queue
+            this_dispatch = dispatch_index
+            dispatch_index += 1
+            if this_dispatch in drops:
+                # The send was lost before reaching the worker: the batch
+                # returns to the queue and goes out on a later dispatch.
+                sink.record_fault("dropped")
+                batcher.restore(batch)
+                sink.record_queue_depth(len(batcher))
+                continue
             sink.record_batch(len(batch))
-            sink.record_queue_depth(len(batcher))
+            busy_start = True
 
-        # One slice of the in-flight batch.
-        live_tasks = [inflight[index].task for index in sorted(inflight)]
-        if service_time is not None:
-            stats = stream.step(1)
-            duration = float(service_time(live_tasks))
-        elif config.timing == "modeled":
-            stats = stream.step(1)
-            duration = modeled_slice_ms(
-                config,
-                slice_width=slice_width,
-                admitted=admitted_now,
-                busy_start=busy_start,
+        completed: List[Tuple[ServeRequest, AlignmentResult]]
+        if stream is None:
+            # Drain-then-form: the batch runs to completion on one worker.
+            tasks = [request.task for request in batch]
+            (results, stats), duration = charge(
+                lambda: drain_batch(tasks), tasks, modeled_service_ms(tasks, config)
             )
+            if len(results) != len(batch):
+                raise ValueError(
+                    f"engine {config.engine!r} returned {len(results)} results "
+                    f"for a batch of {len(batch)} tasks"
+                )
+            slot = workers.index(free_at)
+            if this_dispatch in duplicates:
+                # Delivered twice: the worker serves both copies (the slot
+                # stays busy for two service times) but results are stamped
+                # once, at the first copy's completion.
+                sink.record_fault("duplicated")
+                workers[slot] = now + 2 * duration
+            else:
+                workers[slot] = now + duration
+            completion = now + duration
+            completed = list(zip(batch, results))
         else:
-            started = time.perf_counter()
-            stats = stream.step(1)
-            duration = (time.perf_counter() - started) * 1000.0
-        if duration < 0:
-            raise ValueError("service time must be non-negative")
-        now += duration
-        # A stall crossed while the slice ran pushes its boundary: the
-        # device pauses mid-slice, completions land after the stall.
-        while stall_idx < len(stalls) and stalls[stall_idx][0] <= now:
-            now = max(now, stalls[stall_idx][0] + stalls[stall_idx][1])
-            sink.record_fault("delays")
-            stall_idx += 1
+            # Continuous refill: the stream advances one slice.
+            for index, request in zip(stream.admit([r.task for r in batch]), batch):
+                inflight[index] = request
+                request.batch_occupancy = stream.live
+            live_tasks = [inflight[index].task for index in sorted(inflight)]
+            stats, duration = charge(
+                stream.step,  # one slice
+                live_tasks,
+                modeled_slice_ms(
+                    config,
+                    slice_width=slice_width,
+                    admitted=len(batch),
+                    busy_start=busy_start,
+                ),
+            )
+            # A stall crossed while the slice ran pushes its boundary: the
+            # device pauses mid-slice, completions land after the stall.
+            now, stall_cursor = stalled(now + duration)
+            sink.record_fault("delays", stall_cursor - stall_idx)
+            stall_idx = stall_cursor
+            completion = now
+            completed = [
+                (inflight.pop(index), result) for index, result in stream.take_completed()
+            ]
         for stat in stats:
             sink.record_slice(stat)
-        for index, result in stream.take_completed():
-            request = inflight.pop(index)
+        for request, result in completed:
             request.result = result
-            request.completion_ms = now
-            makespan_end = max(makespan_end, now)
+            request.completion_ms = completion
+            makespan_end = max(makespan_end, completion)
             sink.record_request(request.wait_ms, request.latency_ms)
+        if stream is not None:
+            admit_until(now)  # arrivals during the slice meet its boundary
 
     return ServeReport(
         policy=policy if policy is not None else config.policy_name,

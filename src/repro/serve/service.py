@@ -17,15 +17,20 @@ being scored.  Threads are the right pool here -- the engines spend
 their time in NumPy kernels that release the GIL, and tasks must not be
 pickled per request.
 
+Both refill modes run in one scheduler loop, the live mirror of
+:func:`~repro.serve.scheduler.replay`'s event loop.  Under
+drain-then-form a cut batch runs to completion through the same
+``open_batch(...).drain()`` call the replay makes, so the engine gets
+the configured options and every engine slice reaches the telemetry.
 When the configuration resolves to continuous refill
 (``config.resolved_refill() == "continuous"``, the default for
-streaming engines such as ``"vector"``), the scheduler thread
-instead keeps one :class:`repro.api.InFlightBatch` open and runs it
-slice by slice, admitting newly submitted tasks into lanes freed by
-compaction at every slice boundary (:meth:`MicroBatcher.take`).  The
-``max_wait_ms`` contract is unchanged: an idle stream dispatches under
-the normal cut conditions, and a busy stream admits pending requests at
-the very next boundary, which can only shorten waits.
+streaming engines such as ``"vector"``), the loop instead keeps one
+:class:`repro.api.InFlightBatch` open, runs it slice by slice, and
+admits newly submitted tasks into lanes freed by compaction at every
+slice boundary (:meth:`MicroBatcher.take`).  The ``max_wait_ms``
+contract is unchanged: an idle stream dispatches under the normal cut
+conditions, and a busy stream admits pending requests at the very next
+boundary, which can only shorten waits.
 
 Exactness: a served task's result is bit-identical to scoring it with
 :meth:`repro.api.Session.align` -- the service only decides *when* and
@@ -37,8 +42,9 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.align.streaming import InFlightBatch, SliceStats
 from repro.align.types import AlignmentResult, AlignmentTask
 from repro.serve.config import ServeConfig
 from repro.serve.queueing import MicroBatcher, ServeRequest
@@ -63,10 +69,6 @@ class AlignmentService:
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
-        from repro.api.engines import get_engine
-
-        self._engine = get_engine(self.config.engine)
-        self._engine_bucket = self.config.effective_batch_size()
         self._refill = self.config.resolved_refill()
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
@@ -162,64 +164,29 @@ class AlignmentService:
     # scheduler thread
     # ------------------------------------------------------------------
     def _scheduler_loop(self) -> None:
-        if self._refill == "continuous":
-            self._stream_loop()
-            return
-        while True:
-            with self._wakeup:
-                while True:
-                    now = self._now_ms()
-                    if len(self._batcher) and (
-                        self._stopping or self._batcher.ready(now)
-                    ):
-                        batch = self._batcher.form_batch(now)
-                        break
-                    if self._stopping and not len(self._batcher):
-                        return
-                    deadline = self._batcher.next_deadline_ms()
-                    timeout = (
-                        None if deadline is None else max(deadline - now, 0.0) / 1000.0
-                    )
-                    self._wakeup.wait(timeout)
-                futures = [self._futures.pop(r.request_id) for r in batch]
-                self.telemetry.record_batch(len(batch))
-                # Dispatched requests left the queue: sample the depth so
-                # backpressure telemetry sees them as dequeued now, not at
-                # batch completion.
-                self.telemetry.record_queue_depth(len(self._batcher))
-            if self._pool is not None:
-                self._pool.submit(self._execute, batch, futures)
-            else:
-                self._execute(batch, futures)
+        """Cut batches (or refill a busy stream's free lanes) and run them.
 
-    def _stream_loop(self) -> None:
-        """Continuous-refill scheduler: one in-flight batch, slice-stepped.
-
-        Runs entirely on the scheduler thread (the stream serialises
-        execution, so there is nothing for a worker pool to overlap);
-        between slices the thread re-acquires the lock, collects newly
-        submitted requests and admits them into freed lanes.
+        The stream serialises execution, so under continuous refill this
+        thread steps it itself; there is nothing for a pool to overlap.
         """
         from repro.api.engines import open_batch
 
-        stream = open_batch(
-            (),
-            engine=self.config.engine,
-            options=self.config.engine_options(),
-            capacity=self.config.max_batch_size,
-        )
-        inflight: Dict[int, tuple] = {}
+        stream: Optional[InFlightBatch] = None
+        if self._refill == "continuous":
+            stream = open_batch(
+                (),
+                engine=self.config.engine,
+                options=self.config.engine_options(),
+                capacity=self.config.max_batch_size,
+            )
+        inflight: Dict[int, Tuple[ServeRequest, "Future[AlignmentResult]"]] = {}
         while True:
             with self._wakeup:
                 while True:
                     now = self._now_ms()
-                    if stream.live:
+                    if stream is not None and stream.live:
                         # Busy stream: refill free lanes immediately.
-                        batch = (
-                            self._batcher.take(stream.free, now)
-                            if stream.free
-                            else []
-                        )
+                        batch = self._batcher.take(stream.free, now)
                         break
                     if len(self._batcher) and (
                         self._stopping or self._batcher.ready(now)
@@ -235,56 +202,60 @@ class AlignmentService:
                     self._wakeup.wait(timeout)
                 futures = [self._futures.pop(r.request_id) for r in batch]
                 if batch:
-                    if stream.live:
+                    if stream is not None and stream.live:
                         self.telemetry.record_refill(len(batch))
                     else:
                         self.telemetry.record_batch(len(batch))
+                    # Dispatched requests left the queue: sample the depth
+                    # so backpressure telemetry sees them as dequeued now,
+                    # not at batch completion.
                     self.telemetry.record_queue_depth(len(self._batcher))
+            if stream is None:
+                if self._pool is not None:
+                    self._pool.submit(self._execute, batch, futures)
+                else:
+                    self._execute(batch, futures)
+                continue
             try:
-                if batch:
-                    indices = stream.admit([request.task for request in batch])
-                    for index, request, future in zip(indices, batch, futures):
-                        inflight[index] = (request, future)
-                    for request in batch:
-                        request.batch_occupancy = stream.live
+                indices = stream.admit([request.task for request in batch])
+                for index, request, future in zip(indices, batch, futures):
+                    inflight[index] = (request, future)
+                    request.batch_occupancy = stream.live
                 stats = stream.step(1)
-                completion = self._now_ms()
-                completed = stream.take_completed()
+                completed = [
+                    (*inflight.pop(index), result)
+                    for index, result in stream.take_completed()
+                ]
             except BaseException as exc:  # engine failure fans out, never hangs
-                for _, future in inflight.values():
-                    future.set_exception(exc)
-                inflight.clear()
+                for future in [*futures, *(future for _, future in inflight.values())]:
+                    if not future.done():
+                        future.set_exception(exc)
                 with self._wakeup:
                     self._stopping = True
                     self._closed = True
-                    stranded = self._batcher.preempt(lambda request: True)
-                    for request in stranded:
-                        pending = self._futures.pop(request.request_id, None)
-                        if pending is not None:
-                            pending.set_exception(exc)
+                    for request in self._batcher.preempt(lambda request: True):
+                        self._futures.pop(request.request_id).set_exception(exc)
                 return
-            resolved = []
-            with self._lock:
-                for stat in stats:
-                    self.telemetry.record_slice(stat)
-                for index, result in completed:
-                    request, future = inflight.pop(index)
-                    request.result = result
-                    request.completion_ms = completion
-                    self.telemetry.record_request(request.wait_ms, request.latency_ms)
-                    resolved.append((future, result))
-            for future, result in resolved:
-                future.set_result(result)
+            self._complete(stats, completed)
 
     def _execute(
         self,
         batch: List[ServeRequest],
         futures: List["Future[AlignmentResult]"],
     ) -> None:
+        """Run one cut batch to completion (drain-then-form), exactly as
+        :func:`repro.serve.scheduler.replay` does."""
+        from repro.api.engines import open_batch
+
+        tasks = [request.task for request in batch]
         try:
-            results = self._engine(
-                [request.task for request in batch], batch_size=self._engine_bucket
+            handle = open_batch(
+                tasks,
+                engine=self.config.engine,
+                options=self.config.engine_options(),
+                capacity=max(self.config.max_batch_size, len(tasks)),
             )
+            results = handle.drain()
             if len(results) != len(batch):
                 # A broken custom engine must error, not strand futures.
                 raise ValueError(
@@ -295,11 +266,21 @@ class AlignmentService:
             for future in futures:
                 future.set_exception(exc)
             return
+        self._complete(handle.stats, list(zip(batch, futures, results)))
+
+    def _complete(
+        self,
+        stats: Sequence[SliceStats],
+        completed: Sequence[Tuple[ServeRequest, "Future[AlignmentResult]", AlignmentResult]],
+    ) -> None:
+        """Record the engine slices, stamp completions, resolve futures."""
         completion = self._now_ms()
         with self._lock:
-            for request in batch:
+            for stat in stats:
+                self.telemetry.record_slice(stat)
+            for request, _, result in completed:
+                request.result = result
                 request.completion_ms = completion
                 self.telemetry.record_request(request.wait_ms, request.latency_ms)
-        for request, result, future in zip(batch, results, futures):
-            request.result = result
+        for _, future, result in completed:
             future.set_result(result)

@@ -1,8 +1,12 @@
 """The live threaded service: futures, draining shutdown, equivalence."""
 
+import threading
+
 import pytest
 
-from repro.api import EngineOptions, Session
+from repro.align.vector import DEFAULT_SLICE_WIDTH, VectorStream
+from repro.api import EngineOptions, Session, register_engine
+from repro.api.engines import ENGINES, vector_engine
 from repro.serve import AlignmentService, ServeConfig
 
 
@@ -78,30 +82,114 @@ class TestLiveService:
             service.start()
 
     def test_short_engine_result_errors_instead_of_hanging(self, serve_tasks):
-        service = AlignmentService(_config(max_wait_ms=1.0))
-
         def short_engine(tasks, batch_size):
             from repro.api.engines import align_tasks
 
             return align_tasks(tasks, options=EngineOptions(batch_size=batch_size))[:-1]
 
-        service._engine = short_engine
-        future = service.submit(serve_tasks[0])
-        with pytest.raises(ValueError, match="returned 0 results"):
-            future.result(timeout=30)
-        service.shutdown()
+        register_engine("short-service-test", short_engine)
+        try:
+            service = AlignmentService(
+                _config(max_wait_ms=1.0, engine="short-service-test")
+            )
+            future = service.submit(serve_tasks[0])
+            with pytest.raises(ValueError, match="returned 0 results"):
+                future.result(timeout=30)
+            service.shutdown()
+        finally:
+            ENGINES.unregister("short-service-test")
 
     def test_engine_failure_fans_out_to_futures(self, serve_tasks):
-        service = AlignmentService(_config(max_wait_ms=1.0))
-
         def broken_engine(tasks, batch_size):
             raise RuntimeError("engine exploded")
 
-        service._engine = broken_engine
-        future = service.submit(serve_tasks[0])
-        with pytest.raises(RuntimeError, match="engine exploded"):
-            future.result(timeout=30)
-        service.shutdown()
+        register_engine("broken-service-test", broken_engine)
+        try:
+            service = AlignmentService(
+                _config(max_wait_ms=1.0, engine="broken-service-test")
+            )
+            future = service.submit(serve_tasks[0])
+            with pytest.raises(RuntimeError, match="engine exploded"):
+                future.result(timeout=30)
+            service.shutdown()
+        finally:
+            ENGINES.unregister("broken-service-test")
+
+    def test_drain_runs_batches_like_replay(self, serve_tasks):
+        """Live drain-then-form goes through the same batch handle as
+        replay: it records engine slices and hands the engine the
+        configured ``slice_width``, not the engine's default."""
+        seen = []
+
+        def spy_engine(tasks, *, batch_size, slice_width=DEFAULT_SLICE_WIDTH):
+            seen.append(slice_width)
+            return vector_engine(tasks, batch_size=batch_size, slice_width=slice_width)
+
+        with AlignmentService(_config()) as service:
+            served = service.map(serve_tasks[:12])
+        assert served == list(Session(tasks=serve_tasks[:12]).align().results)
+        assert service.telemetry.summary()["lane_occupancy"]["slices"] > 0
+
+        register_engine(
+            "spy-service-test", spy_engine, option_params=("batch_size", "slice_width")
+        )
+        try:
+            config = _config(
+                engine="spy-service-test", options=EngineOptions(slice_width=8)
+            )
+            with AlignmentService(config) as service:
+                served = service.map(serve_tasks[:12])
+        finally:
+            ENGINES.unregister("spy-service-test")
+        assert served == list(Session(tasks=serve_tasks[:12]).align().results)
+        assert seen and set(seen) == {8}
+
+    def test_stream_failure_fans_out_to_futures(self, serve_tasks):
+        """An engine error mid-stream fails every in-flight and queued
+        future and closes the service, instead of stranding anything."""
+        release = threading.Event()
+
+        class ExplodingStream(VectorStream):
+            steps = 0
+
+            def step(self, n_slices=1):
+                self.steps += 1
+                if self.steps == 3:
+                    # Fail only once every task has been submitted.
+                    release.wait(timeout=30)
+                    raise RuntimeError("stream exploded")
+                return super().step(n_slices)
+
+        def open_exploding(tasks, *, capacity=None, options):
+            return ExplodingStream(
+                tasks, capacity=capacity, slice_width=options.slice_width
+            )
+
+        register_engine(
+            "exploding-stream-test",
+            vector_engine,
+            option_params=("batch_size", "slice_width"),
+            open_batch=open_exploding,
+        )
+        try:
+            service = AlignmentService(
+                _config(
+                    engine="exploding-stream-test",
+                    refill="continuous",
+                    max_batch_size=4,
+                    options=EngineOptions(slice_width=4),
+                )
+            )
+            futures = [service.submit(task) for task in serve_tasks[:12]]
+            release.set()
+            for future in futures:
+                with pytest.raises(RuntimeError, match="stream exploded"):
+                    future.result(timeout=30)
+            with pytest.raises(RuntimeError):
+                service.submit(serve_tasks[0])
+            service.shutdown()
+        finally:
+            ENGINES.unregister("exploding-stream-test")
 
     def test_telemetry_counts_every_request(self, serve_tasks):
         with AlignmentService(_config()) as service:
