@@ -99,7 +99,6 @@ __all__ = [
     "DEFAULT_BUCKET_SIZE",
     "DEFAULT_SLICE_WIDTH",
     "DEFAULT_VECTOR_BUCKET_SIZE",
-    "ENGINE_SLICE_WIDTHS",
     "PANEL_WIDTH",
     "TaskBatch",
     "VectorStream",
@@ -123,16 +122,6 @@ DEFAULT_VECTOR_BUCKET_SIZE: int = 256
 #: slice geometry (``slice_width`` 3 block anti-diagonals of 8x8 blocks)
 #: expressed in cells.
 DEFAULT_SLICE_WIDTH: int = 24
-
-#: Slice width implied by each name ``KernelConfig.scoring_engine``
-#: accepts: ``"vector"`` compacts every :data:`DEFAULT_SLICE_WIDTH`
-#: anti-diagonals.  The deprecated ``"batch"`` (dense) and
-#: ``"batch-sliced"`` names keep their historical widths for one release.
-ENGINE_SLICE_WIDTHS: Dict[str, Optional[int]] = {
-    "vector": DEFAULT_SLICE_WIDTH,
-    "batch": None,
-    "batch-sliced": DEFAULT_SLICE_WIDTH,
-}
 
 #: Anti-diagonals whose geometry, shift selectors, lane masks, edges and
 #: substitution scores are precomputed in one shot.  Bounds the panel

@@ -14,12 +14,6 @@ engines are built in:
     anti-diagonals.  Bit-identical to ``"scalar"`` and many times
     faster (docs/ENGINES.md).
 
-``"batch"`` and ``"batch-sliced"`` name the retired pure-Python batch
-sweep.  They stay registered for one release as deprecated aliases of
-the vector engine (dense and sliced respectively): each scoring call
-through them emits one :class:`DeprecationWarning` and returns
-bit-identical results.
-
 New backends register under a name and immediately become usable by
 :class:`repro.api.Session`, :class:`repro.pipeline.mapper.LongReadMapper`
 and anything else that resolves engines by name::
@@ -41,19 +35,11 @@ Two orthogonal extensions sit on top of the name-keyed callable:
   the factory (``scalar``, third-party backends) are served through the
   :class:`~repro.align.streaming.OneShotBatch` adapter, so every
   registered name can sit behind the same handle type.
-
-One deliberate exception: kernel profile priming
-(``KernelConfig.scoring_engine``) does not resolve through this
-registry.  Profiles require the vector engine's ``return_profiles``
-path, which arbitrary registered engines cannot provide, so that knob
-accepts only the closed set in
-:data:`repro.align.vector.ENGINE_SLICE_WIDTHS` (docs/ENGINES.md).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -219,51 +205,6 @@ def vector_engine(
     slice_width: int = DEFAULT_SLICE_WIDTH,
 ) -> List[AlignmentResult]:
     """Whole-array struct-of-arrays engine; bit-identical to ``"scalar"``."""
-    return vector_align(tasks, bucket_size=batch_size, slice_width=slice_width)
-
-
-def _warn_deprecated_engine(name: str) -> None:
-    warnings.warn(
-        f"engine {name!r} is deprecated; use engine='vector' instead "
-        "(bit-identical results)",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-@register_engine("batch")
-def batch_engine(
-    tasks: Sequence[AlignmentTask], *, batch_size: int = DEFAULT_BUCKET_SIZE
-) -> List[AlignmentResult]:
-    """Deprecated alias: the dense (``slice_width=None``) vector sweep."""
-    _warn_deprecated_engine("batch")
-    return vector_align(tasks, bucket_size=batch_size, slice_width=None)
-
-
-def _open_sliced_batch(
-    tasks: Sequence[AlignmentTask],
-    *,
-    capacity: Optional[int] = None,
-    options: EngineOptions,
-) -> VectorStream:
-    """Streaming factory of the deprecated ``"batch-sliced"`` alias."""
-    _warn_deprecated_engine("batch-sliced")
-    return _open_vector_batch(tasks, capacity=capacity, options=options)
-
-
-@register_engine(
-    "batch-sliced",
-    option_params=("batch_size", "slice_width"),
-    open_batch=_open_sliced_batch,
-)
-def sliced_batch_engine(
-    tasks: Sequence[AlignmentTask],
-    *,
-    batch_size: int = DEFAULT_BUCKET_SIZE,
-    slice_width: int = DEFAULT_SLICE_WIDTH,
-) -> List[AlignmentResult]:
-    """Deprecated alias: the sliced vector sweep."""
-    _warn_deprecated_engine("batch-sliced")
     return vector_align(tasks, bucket_size=batch_size, slice_width=slice_width)
 
 

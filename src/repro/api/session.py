@@ -150,7 +150,7 @@ class Session:
     >>> Session(tasks=[task], engine="warp-9")
     Traceback (most recent call last):
         ...
-    KeyError: "unknown engine 'warp-9'; available: ['scalar', 'vector', 'batch', 'batch-sliced']"
+    KeyError: "unknown engine 'warp-9'; available: ['scalar', 'vector']"
     """
 
     def __init__(

@@ -24,18 +24,12 @@ import sys
 from importlib import import_module
 from typing import List, Optional, Sequence, Tuple
 
-from repro.align.vector import ENGINE_SLICE_WIDTHS
 from repro.api.suites import suite_names
 from repro.bench.compare import DEFAULT_TOLERANCE, compare_records, format_report
 from repro.bench.records import BenchRecord
 from repro.bench.runner import FIGURES, BenchCell, run_figure
 
 __all__ = ["main"]
-
-
-def _scoring_engine_choices() -> List[str]:
-    """Engine names ``KernelConfig.scoring_engine`` accepts."""
-    return sorted(ENGINE_SLICE_WIDTHS)
 
 
 def _run_parser() -> argparse.ArgumentParser:
@@ -80,15 +74,6 @@ def _run_parser() -> argparse.ArgumentParser:
         metavar="MOD[,MOD...]",
         help="import these modules first (their register_suite/register_kernel "
         "calls make custom suites available to --suites)",
-    )
-    parser.add_argument(
-        "--scoring-engine",
-        metavar="ENGINE",
-        choices=_scoring_engine_choices(),
-        help="engine that primes task profiles inside each cell "
-        "(KernelConfig.scoring_engine); results and records are "
-        "bit-identical either way; batch and batch-sliced are deprecated "
-        f"(choices: {', '.join(_scoring_engine_choices())}; default: vector)",
     )
     parser.add_argument(
         "--output",
@@ -214,17 +199,11 @@ def _run_main(argv: Sequence[str]) -> int:
             flush=True,
         )
 
-    config = None
-    if args.scoring_engine is not None:
-        from repro.kernels import KernelConfig
-
-        config = KernelConfig(scoring_engine=args.scoring_engine)
     record = run_figure(
         args.figure,
         workers=args.workers,
         datasets=args.datasets,
         suites=tuple(args.suites) if args.suites else None,
-        config=config,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         progress=None if args.quiet else progress,

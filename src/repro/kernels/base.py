@@ -5,11 +5,12 @@ AGAThA itself -- is expressed in the same two-part form:
 
 * :meth:`GuidedKernel.run` produces the *alignment results* (scores).  For
   exact kernels the scheduling scheme cannot change the arithmetic, so the
-  scores come from the shared wavefront engine and must equal the scalar
+  scores come from one batched sweep of the shared vector engine
+  (:func:`repro.align.vector.vector_align`) and must equal the scalar
   oracle bit for bit (that is the paper's "exactness" claim and the test
-  suite enforces it).  Heuristic kernels (LOGAN's X-drop, Manymap's
-  inexact termination) override the scoring path and may legitimately
-  differ.
+  suite enforces it).  Diff-Target kernels (LOGAN's X-drop, Manymap's
+  inexact termination, banding-only GASAL2/SALoBa) run the same sweep
+  under their own termination condition and may legitimately differ.
 * :meth:`GuidedKernel.simulate` produces a :class:`KernelLaunchStats` for a
   device: how many cells the design computes (run-ahead included), what
   memory traffic it issues and how its warps are loaded.  This is where
@@ -22,13 +23,12 @@ may override :meth:`order_tasks` (scheduling) and :meth:`warp_cycles`
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace as _dc_replace
 from typing import List, Sequence
 
 from repro.align.blocks import BlockGrid
 from repro.align.types import AlignmentProfile, AlignmentResult, AlignmentTask
-from repro.align.vector import DEFAULT_BUCKET_SIZE, ENGINE_SLICE_WIDTHS, vector_align
+from repro.align.vector import DEFAULT_BUCKET_SIZE, vector_align
 from repro.gpusim.device import CostModel, DeviceSpec, RTX_A6000
 from repro.gpusim.executor import GpuExecutor
 from repro.gpusim.trace import (
@@ -61,54 +61,20 @@ class KernelConfig:
         sequentially before the launch is considered a new wave.  The
         executor's warp-slot scheduling already models queuing, so this is
         left at 1 unless a kernel needs grid-stride batching.
-    batched_scoring:
-        Compute alignment scores with the struct-of-arrays vector engine
-        (:mod:`repro.align.vector`) instead of one scalar sweep per task.
-        Bit-exact either way; on by default because it is many times
-        faster on realistic workloads.  Turn off to fall back to the
-        per-task scalar path.
     batch_bucket_size:
-        Tasks swept simultaneously by the vector engine.
-    scoring_engine:
-        Which engine primes the task profiles: ``"vector"`` (the
-        default).  The deprecated names ``"batch"`` (the dense sweep) and
-        ``"batch-sliced"`` still select the vector sweep at their
-        historical slice widths for one release, with a
-        ``DeprecationWarning``.  Results are bit-identical either way, so
-        simulated timings never change.
+        Tasks swept simultaneously by the vector engine
+        (:mod:`repro.align.vector`) that scores every kernel's tasks.
     """
 
     subwarp_size: int = 8
     block_size: int = 8
     slice_width: int = 3
     tasks_per_subwarp: int = 1
-    batched_scoring: bool = True
     batch_bucket_size: int = DEFAULT_BUCKET_SIZE
-    scoring_engine: str = "vector"
-
-    def __post_init__(self) -> None:
-        if self.scoring_engine not in ENGINE_SLICE_WIDTHS:
-            raise ValueError(
-                f"scoring_engine must be one of "
-                f"{sorted(ENGINE_SLICE_WIDTHS)} (got {self.scoring_engine!r}); "
-                "use batched_scoring=False for the scalar path"
-            )
-        if self.scoring_engine != "vector":
-            warnings.warn(
-                f"KernelConfig(scoring_engine={self.scoring_engine!r}) is "
-                "deprecated; use scoring_engine='vector' (bit-identical profiles)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
 
     def replace(self, **changes) -> "KernelConfig":
         """Return a copy with the given fields replaced."""
         return _dc_replace(self, **changes)
-
-    @property
-    def scoring_slice_width(self) -> int | None:
-        """Compaction slice width implied by ``scoring_engine``."""
-        return ENGINE_SLICE_WIDTHS[self.scoring_engine]
 
     @property
     def subwarps_per_warp(self) -> int:
@@ -137,16 +103,15 @@ class GuidedKernel:
 
         Exact kernels share the wavefront engine; the scheduling scheme
         affects *when* cells are computed, never their values, so this is
-        the faithful output of the simulated kernel.  With
-        ``config.batched_scoring`` (the default) uncached tasks are scored
-        by the struct-of-arrays vector engine in one sweep per bucket;
-        the results are bit-identical to the scalar path.
+        the faithful output of the simulated kernel.  Uncached tasks are
+        scored by the struct-of-arrays vector engine in one sweep per
+        bucket; the results are bit-identical to the scalar path.
         """
         self._ensure_profiles(tasks)
         return [task.profile().result for task in tasks]
 
     def _ensure_profiles(self, tasks: Sequence[AlignmentTask]) -> None:
-        """Prime the per-task profile caches, batched when configured.
+        """Prime the per-task profile caches in one batched sweep.
 
         Tasks that already carry a cached profile are left untouched; the
         remainder is swept by the vector engine and the resulting profiles
@@ -154,8 +119,6 @@ class GuidedKernel:
         every later consumer -- scoring, workload accounting, other
         kernels -- reuses them.
         """
-        if not self.config.batched_scoring:
-            return  # task.profile() falls back to the scalar engine
         missing = [task for task in tasks if task._profile is None]
         if not missing:
             return
@@ -163,7 +126,6 @@ class GuidedKernel:
             missing,
             bucket_size=self.config.batch_bucket_size,
             return_profiles=True,
-            slice_width=self.config.scoring_slice_width,
         )
         for task, profile in zip(missing, profiles):
             task._profile = profile
@@ -181,7 +143,6 @@ class GuidedKernel:
             tasks,
             termination=termination,
             bucket_size=self.config.batch_bucket_size,
-            slice_width=self.config.scoring_slice_width,
         )
 
     # ------------------------------------------------------------------

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.align.antidiagonal import antidiagonal_align
-from repro.align.termination import XDrop
 from repro.align.types import AlignmentProfile, AlignmentTask
 from repro.gpusim.device import CostModel, DeviceSpec
 from repro.gpusim.trace import MemoryTraffic, TaskWorkload
@@ -54,17 +52,7 @@ class LoganKernel(GuidedKernel):
         the paper discusses is the termination heuristic, and that is what
         the comparison tests exercise.
         """
-        if self.config.batched_scoring:
-            return self._batched_scores(tasks, termination="xdrop")
-        results = []
-        for task in tasks:
-            termination = (
-                XDrop(xdrop=task.scoring.zdrop) if task.scoring.has_termination else None
-            )
-            results.append(
-                antidiagonal_align(task.ref, task.query, task.scoring, termination)
-            )
-        return results
+        return self._batched_scores(tasks, termination="xdrop")
 
     # ------------------------------------------------------------------
     def task_workload(

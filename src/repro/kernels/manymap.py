@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.align.antidiagonal import antidiagonal_align
-from repro.align.termination import XDrop
 from repro.align.types import AlignmentProfile, AlignmentTask
 from repro.gpusim.device import CostModel, DeviceSpec
 from repro.gpusim.trace import MemoryTraffic, TaskWorkload
@@ -58,15 +56,7 @@ class ManymapKernel(GuidedKernel):
         """Scores: exact for MM2-target, inexact X-drop-like for Diff-target."""
         if self.target == "mm2":
             return super().run(tasks)
-        if self.config.batched_scoring:
-            return self._batched_scores(tasks, termination="xdrop")
-        results = []
-        for task in tasks:
-            termination = XDrop(xdrop=task.scoring.zdrop) if task.scoring.has_termination else None
-            results.append(
-                antidiagonal_align(task.ref, task.query, task.scoring, termination)
-            )
-        return results
+        return self._batched_scores(tasks, termination="xdrop")
 
     # ------------------------------------------------------------------
     def task_workload(

@@ -60,15 +60,7 @@ class SALoBaKernel(GuidedKernel):
         """
         if self.target == "mm2":
             return super().run(tasks)
-        if self.config.batched_scoring:
-            return self._batched_scores(tasks, termination="none")
-        from repro.align.antidiagonal import antidiagonal_align
-
-        results = []
-        for task in tasks:
-            scoring = task.scoring.replace(zdrop=0)
-            results.append(antidiagonal_align(task.ref, task.query, scoring))
-        return results
+        return self._batched_scores(tasks, termination="none")
 
     # ------------------------------------------------------------------
     def task_workload(

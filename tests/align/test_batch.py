@@ -5,9 +5,8 @@ engine's dense sweep (``slice_width=None``: whole buckets swept without
 compaction) must reproduce its scores, maximum cells, termination
 behaviour, work counters and per-anti-diagonal profiles bit for bit --
 across scoring schemes, band widths, termination kinds and ragged
-task-length buckets.  ``tests/align/test_vector.py`` and
-``tests/align/test_sliced_batch.py`` then pin the compacting sweep to
-the dense one.
+task-length buckets.  ``tests/align/test_vector.py`` then pins the
+compacting sweep to the dense one.
 """
 
 import numpy as np

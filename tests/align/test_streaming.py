@@ -29,7 +29,7 @@ def scalar_align(tasks):
 
 
 def dense_align(tasks):
-    """The one-shot dense sweep (the deprecated ``"batch"`` engine)."""
+    """The one-shot dense sweep (no slice-boundary compaction)."""
     return vector_align(tasks, slice_width=None)
 
 

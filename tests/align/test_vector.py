@@ -1,10 +1,10 @@
 """Equivalence tests for the whole-array NumPy ``vector`` engine.
 
 The scalar oracle defines the semantics.  The dense sweep
-(``slice_width=None``, what the deprecated ``"batch"`` engine name now
-resolves to) is pinned to it by ``test_batch.py``; here every sliced
-sweep must reproduce the dense sweep's -- and the oracle's -- scores,
-maximum cells, termination anti-diagonals, work counters and
+(``slice_width=None``: whole buckets swept without compaction) is
+pinned to it by ``test_batch.py``; here every sliced sweep must
+reproduce the dense sweep's -- and the oracle's -- scores, maximum
+cells, termination anti-diagonals, work counters and
 per-anti-diagonal profiles bit for bit, across slice widths, bucket
 sizes, termination kinds, mixed scoring schemes and the int64 fallback
 for value ranges that do not fit the 32-bit fast path.
@@ -24,13 +24,12 @@ from repro.align.vector import (
     DEFAULT_BUCKET_SIZE,
     DEFAULT_SLICE_WIDTH,
     DEFAULT_VECTOR_BUCKET_SIZE,
-    ENGINE_SLICE_WIDTHS,
     vector_align,
 )
 
 
 def dense_align(tasks, **kwargs):
-    """The dense sweep the deprecated ``"batch"`` engine resolves to."""
+    """The dense sweep (no slice-boundary compaction)."""
     return vector_align(tasks, slice_width=None, **kwargs)
 
 
@@ -200,7 +199,8 @@ class TestVectorMechanics:
     def test_empty_task_list(self):
         assert vector_align([]) == []
 
-    def test_empty_sequences(self):
+    @pytest.mark.parametrize("slice_width", [None, 4, DEFAULT_SLICE_WIDTH])
+    def test_empty_sequences(self, slice_width):
         scoring = preset("map-ont")
         tasks = [
             AlignmentTask(ref=encode(""), query=encode("ACG"), scoring=scoring),
@@ -209,7 +209,7 @@ class TestVectorMechanics:
                 ref=encode("ACGTAC"), query=encode("ACGTAC"), scoring=scoring
             ),
         ]
-        results = vector_align(tasks)
+        results = vector_align(tasks, slice_width=slice_width)
         assert results[0].score == 0
         assert results[0].cells_computed == 0
         assert results[1].score == 0
@@ -242,10 +242,6 @@ class TestVectorMechanics:
         for d, v in zip(dense, vector):
             _assert_same(d, v)
             assert v.terminated
-
-    def test_engine_slice_widths_mapping(self):
-        """``vector`` compacts every default slice width."""
-        assert ENGINE_SLICE_WIDTHS["vector"] == DEFAULT_SLICE_WIDTH
 
     def test_default_bucket_size_is_larger_than_batch(self):
         """A bare vector_align call buckets wider than the workflow default."""

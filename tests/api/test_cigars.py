@@ -7,9 +7,8 @@ The two bit-identity guarantees the workload subsystem leans on:
   engine results are cross-checked against the traceback replay inside
   ``batch_traceback``, so a silent divergence cannot survive);
 * a custom substitution matrix (the ``blosum62`` preset) flows through
-  the scalar and vector engines (and the deprecated ``batch`` /
-  ``batch-sliced`` aliases) identically -- swept with hypothesis over
-  random sequence pairs.
+  the scalar and vector engines identically -- swept with hypothesis
+  over random sequence pairs.
 """
 
 import numpy as np
@@ -23,11 +22,7 @@ from repro.align.traceback import TracebackResult, traceback_align
 from repro.align.types import AlignmentTask
 from repro.api import Session, align_tasks
 
-ENGINES = ("scalar", "batch", "batch-sliced", "vector")
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:engine 'batch:DeprecationWarning"
-)
+ENGINES = ("scalar", "vector")
 
 
 def _mixed_tasks(count=8, seed=23):

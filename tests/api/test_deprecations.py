@@ -6,22 +6,22 @@ exact historical behaviour for one release, emits exactly one
 delegates to the shared implementation so the two paths cannot diverge.
 After that release it is deleted.
 
-Currently shimmed: the ``"batch"`` / ``"batch-sliced"`` engine names,
-now aliases of the ``vector`` engine's dense and sliced sweeps.
+Currently shimmed: none.
 """
 
 import inspect
 import warnings
 
-import numpy as np
 import pytest
 
-from repro.align import AlignmentTask, preset
-from repro.api import EngineOptions, Session, align_tasks, open_batch
+from repro.align import preset
+from repro.api import EngineOptions, Session, align_tasks, get_engine
+from repro.bench.cli import main as bench_main
 from repro.io.datasets import synthetic_reference
-from repro.kernels import AgathaKernel, KernelConfig
+from repro.kernels import KernelConfig
 from repro.pipeline import experiment
 from repro.pipeline.mapper import LongReadMapper
+from repro.serve import ServeConfig
 
 
 def _deprecations(fn, *args, **kwargs):
@@ -30,53 +30,6 @@ def _deprecations(fn, *args, **kwargs):
         warnings.simplefilter("always")
         result = fn(*args, **kwargs)
     return result, [w for w in caught if issubclass(w.category, DeprecationWarning)]
-
-
-def _fresh(tasks):
-    """Copies without cached profiles, so each kernel primes its own."""
-    return [
-        AlignmentTask(ref=t.ref, query=t.query, scoring=t.scoring, task_id=t.task_id)
-        for t in tasks
-    ]
-
-
-class TestBatchEngineAliases:
-    """``"batch"`` / ``"batch-sliced"`` resolve to the vector engine."""
-
-    @pytest.mark.parametrize("engine", ["batch", "batch-sliced"])
-    def test_single_warning_and_bit_identical(self, task_batch, engine):
-        legacy, deps = _deprecations(align_tasks, task_batch, engine=engine)
-        assert len(deps) == 1
-        assert "engine='vector'" in str(deps[0].message)
-        assert legacy == align_tasks(task_batch, engine="vector")
-        assert legacy == align_tasks(task_batch, engine="scalar")
-
-    def test_session_alias_warns_once_per_align(self, task_batch):
-        session, deps = _deprecations(Session, tasks=task_batch, engine="batch")
-        assert deps == []
-        outcome, deps = _deprecations(session.align)
-        assert len(deps) == 1
-        assert outcome.results == Session(tasks=task_batch).align().results
-
-    def test_sliced_alias_still_streams(self, task_batch):
-        handle, deps = _deprecations(open_batch, task_batch, engine="batch-sliced")
-        assert len(deps) == 1
-        assert handle.drain() == align_tasks(task_batch)
-
-    @pytest.mark.parametrize("engine", ["batch", "batch-sliced"])
-    def test_kernel_config_alias_primes_identical_profiles(self, task_batch, engine):
-        config, deps = _deprecations(KernelConfig, scoring_engine=engine)
-        assert len(deps) == 1
-        assert "scoring_engine='vector'" in str(deps[0].message)
-        legacy = AgathaKernel(config).run(_fresh(task_batch))
-        fresh = AgathaKernel(KernelConfig()).run(_fresh(task_batch))
-        assert legacy == fresh
-
-    def test_vector_path_is_silent(self, task_batch):
-        _, deps = _deprecations(align_tasks, task_batch)
-        assert deps == []
-        _, deps = _deprecations(KernelConfig)
-        assert deps == []
 
 
 class TestEngineOptionsShims:
@@ -107,6 +60,36 @@ class TestRetiredShims:
         if fn is not LongReadMapper:  # the mapper's bucket size is not a shim
             assert "batch_size" not in params
 
+    @pytest.mark.parametrize("name", ["batch", "batch-sliced"])
+    def test_batch_engine_aliases_are_gone(self, name):
+        with pytest.raises(KeyError) as excinfo:
+            get_engine(name)
+        assert "available: ['scalar', 'vector']" in str(excinfo.value)
+
+    def test_batch_engine_aliases_fail_at_construction(self, task_batch, rng):
+        reference = synthetic_reference(2_000, rng)
+        with pytest.raises(KeyError, match="unknown engine 'batch'"):
+            Session(tasks=task_batch, engine="batch")
+        with pytest.raises(KeyError, match="unknown engine 'batch'"):
+            LongReadMapper(reference, preset("map-ont"), engine="batch")
+        with pytest.raises(KeyError, match="unknown engine 'batch-sliced'"):
+            ServeConfig(engine="batch-sliced")
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"scoring_engine": "vector"}, {"batched_scoring": False}],
+        ids=["scoring_engine", "batched_scoring"],
+    )
+    def test_kernel_config_engine_switches_are_gone(self, changes):
+        with pytest.raises(TypeError):
+            KernelConfig(**changes)
+
+    def test_scoring_engine_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            bench_main(["--figure", "quick", "--scoring-engine", "vector"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --scoring-engine" in capsys.readouterr().err
+
 
 class TestLongReadMapperShim:
     @pytest.fixture
@@ -128,15 +111,3 @@ class TestLongReadMapperShim:
         reference, scoring = reference_and_scoring
         with pytest.raises(KeyError, match="unknown engine"):
             LongReadMapper(reference, scoring, engine="warp-drive")
-
-    def test_legacy_path_bit_identical(self, reference_and_scoring):
-        reference, scoring = reference_and_scoring
-        read = np.concatenate([reference[1000:2200]])
-        legacy = LongReadMapper(reference, scoring, engine="batch")
-        modern = LongReadMapper(reference, scoring)
-        lhs, deps = _deprecations(legacy.map_read, read)
-        assert len(deps) == 1
-        rhs = modern.map_read(read)
-        assert lhs.mapped == rhs.mapped
-        assert lhs.mapping_score == rhs.mapping_score
-        assert (lhs.ref_start, lhs.ref_end) == (rhs.ref_start, rhs.ref_end)

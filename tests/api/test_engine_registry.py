@@ -1,9 +1,8 @@
 """Engine-registry behaviour: ``vector`` is the one struct-of-arrays engine.
 
 NumPy is a base dependency, so the ``vector`` engine always registers and
-is the default of every name-keyed entry point.  The retired pure-Python
-batch sweep survives for one release only as the deprecated ``"batch"``
-/ ``"batch-sliced"`` aliases (``tests/api/test_deprecations.py``).
+is the default of every name-keyed entry point.  The retired ``"batch"``
+/ ``"batch-sliced"`` names are gone (``tests/api/test_deprecations.py``).
 """
 
 import inspect
@@ -14,6 +13,7 @@ import pytest
 from repro.align.scoring import preset
 from repro.align.sequence import mutate, random_sequence
 from repro.align.types import AlignmentTask
+from repro.align.vector import vector_align
 from repro.api import align_tasks, engine_names, get_engine, open_batch
 
 
@@ -40,11 +40,10 @@ class TestVectorRegistered:
         for fn in (align_tasks, open_batch):
             assert inspect.signature(fn).parameters["engine"].default == "vector"
 
-    def test_vector_scores_match_batch(self):
+    def test_vector_scores_match_dense_and_scalar(self):
         tasks = _tasks()
-        with pytest.warns(DeprecationWarning):
-            batch = align_tasks(tasks, engine="batch")
-        assert align_tasks(tasks) == batch == align_tasks(tasks, engine="scalar")
+        dense = vector_align(tasks, slice_width=None)
+        assert align_tasks(tasks) == dense == align_tasks(tasks, engine="scalar")
 
     def test_unknown_engine_error_lists_names(self):
         with pytest.raises(KeyError, match="warp-9"):

@@ -54,12 +54,10 @@ class TestAlign:
         assert outcome.scores == [r.score for r in outcome]
         assert outcome[0] is outcome.results[0]
 
-    def test_scalar_and_batch_engines_agree(self, task_batch):
+    def test_scalar_and_vector_engines_agree(self, task_batch):
         vector = Session(tasks=task_batch).align()
-        with pytest.warns(DeprecationWarning):
-            batch = Session(tasks=task_batch, engine="batch").align()
         scalar = Session(tasks=task_batch, engine="scalar").align()
-        assert vector.scores == batch.scores == scalar.scores
+        assert vector.scores == scalar.scores
         assert [r.cells_computed for r in vector] == [r.cells_computed for r in scalar]
 
     def test_sliced_engine_agrees_through_session(self, task_batch):

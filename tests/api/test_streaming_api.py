@@ -43,9 +43,6 @@ class TestSupportsStreaming:
     def test_builtin_flags(self):
         assert supports_streaming("vector")
         assert not supports_streaming("scalar")
-        # The deprecated aliases keep their historical capabilities.
-        assert supports_streaming("batch-sliced")
-        assert not supports_streaming("batch")
 
     def test_vector_streams_when_available(self):
         assert supports_streaming("vector")

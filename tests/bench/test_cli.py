@@ -100,29 +100,6 @@ class TestRunMode:
                 SUITES.unregister("cli-plugin-suite")
             _sys.modules.pop("cli_plugin_mod", None)
 
-    def test_scoring_engine_flag_is_record_invariant(self, tmp_path, capsys):
-        """--scoring-engine (even a deprecated dense one) never changes records."""
-        name = "ONT-HG002"
-        dense_out = tmp_path / "dense.json"
-        sliced_out = tmp_path / "sliced.json"
-        assert main(
-            ["--figure", "quick", "--datasets", name, "--suites", "mm2",
-             "--output", str(dense_out), "--quiet"]
-        ) == 0
-        assert main(
-            ["--figure", "quick", "--datasets", name, "--suites", "mm2",
-             "--scoring-engine", "batch", "--output", str(sliced_out),
-             "--quiet"]
-        ) == 0
-        dense = BenchRecord.from_dict(json.loads(dense_out.read_text()))
-        sliced = BenchRecord.from_dict(json.loads(sliced_out.read_text()))
-        assert dense.speedup_table("mm2") == sliced.speedup_table("mm2")
-
-    def test_unknown_scoring_engine_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--figure", "quick", "--scoring-engine", "warp-9"])
-        assert "--scoring-engine" in capsys.readouterr().err
-
     def test_missing_plugins_module_is_a_clean_error(self, capsys):
         assert main(["--plugins", "no_such_plugin_mod", "--figure", "quick"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -6,7 +6,11 @@ from hypothesis import strategies as st
 
 from repro.align.banding import BandGeometry
 from repro.align.blocks import BlockGrid
-from repro.core.sliced_diagonal import HorizontalChunkSchedule, SlicedDiagonalSchedule
+from repro.core.sliced_diagonal import (
+    HorizontalChunkSchedule,
+    SlicedDiagonalSchedule,
+    slice_ranges,
+)
 
 
 def in_band_blocks(grid):
@@ -106,3 +110,20 @@ class TestHorizontalChunkSchedule:
         assert huge.num_slices == 1
         blocks = sum(s.blocks for s in huge.work_until_termination(100))
         assert blocks == grid.total_in_band_blocks
+
+
+class TestSliceRanges:
+    def test_covers_every_antidiagonal_once(self):
+        ranges = slice_ranges(10, 3)
+        assert ranges == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        flat = [c for lo, hi in ranges for c in range(lo, hi)]
+        assert flat == list(range(10))
+
+    def test_empty_and_degenerate(self):
+        assert slice_ranges(0, 4) == []
+        assert slice_ranges(-2, 4) == []
+        assert slice_ranges(5, 100) == [(0, 5)]
+
+    def test_rejects_bad_width(self):
+        with pytest.raises(ValueError):
+            slice_ranges(10, 0)

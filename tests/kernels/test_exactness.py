@@ -115,18 +115,11 @@ class TestConfigValidation:
         assert cfg.subwarp_size == 16
         assert cfg.subwarps_per_warp == 2
 
-    def test_unknown_scoring_engine_rejected(self):
-        with pytest.raises(ValueError, match="scoring_engine"):
-            KernelConfig(scoring_engine="warp-9")
-        with pytest.raises(ValueError, match="scoring_engine"):
-            KernelConfig().replace(scoring_engine="scalar")
-
     def test_sliced_scoring_engine_primes_identical_profiles(self, task_batch):
         """The default sliced vector priming equals the scalar profiles."""
         for task in task_batch:
             task.invalidate_profile()
         kernel = AgathaKernel(KernelConfig())
-        assert kernel.config.scoring_slice_width is not None
         results = kernel.run(task_batch)
         for got, want in zip(results, oracle_results(task_batch)):
             assert got.same_score(want)

@@ -43,7 +43,7 @@ class TestKernelSuite:
     def test_experiment_config_batch_size_flows_to_kernels(self):
         suite = build_suite("mm2", ExperimentConfig(batch_size=17).make_kernel_config())
         assert all(
-            k.config.batched_scoring and k.config.batch_bucket_size == 17
+            k.config.batch_bucket_size == 17
             for k in suite.values()
         )
 
