@@ -83,11 +83,6 @@ class WavefrontState:
 
     # ------------------------------------------------------------------
     @property
-    def next_antidiag(self) -> int:
-        """Index of the anti-diagonal :meth:`step` will compute next."""
-        return self._next_antidiag
-
-    @property
     def exhausted(self) -> bool:
         """Whether every anti-diagonal of the table has been computed."""
         return self._next_antidiag >= self.geometry.num_antidiagonals

@@ -91,15 +91,6 @@ class BandGeometry:
         j_hi = min(self.query_len - 1, c, (c - self.diag_lo) // 2)
         return (j_lo, j_hi)
 
-    def col_range(self, j: int) -> tuple[int, int]:
-        """Inclusive range ``(i_lo, i_hi)`` of in-band reference columns on
-        query row ``j``."""
-        if not 0 <= j < self.query_len:
-            return (0, -1)
-        i_lo = max(0, j + self.diag_lo)
-        i_hi = min(self.ref_len - 1, j + self.diag_hi)
-        return (i_lo, i_hi)
-
     def cells_on(self, c: int) -> int:
         """Number of in-band cells on anti-diagonal ``c``."""
         j_lo, j_hi = self.row_range(c)

@@ -178,10 +178,6 @@ class WarpWork:
     def total_cells(self) -> float:
         return sum(sw.total_cells for sw in self.subwarps)
 
-    def subwarp_cycles(self, device: DeviceSpec, cost: CostModel) -> List[float]:
-        """Per-subwarp sequential latencies (no rejoining)."""
-        return [sw.cycles(device, cost) for sw in self.subwarps]
-
 
 @dataclass
 class KernelLaunchStats:

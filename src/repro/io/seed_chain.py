@@ -164,11 +164,6 @@ class MinimizerIndex:
         for m in minimizers(self.reference, k=k, w=w):
             self._table.setdefault(m.hash_value, []).append(m.position)
 
-    @property
-    def num_entries(self) -> int:
-        """Distinct minimizer hashes indexed."""
-        return len(self._table)
-
     def lookup(self, hash_value: int) -> Sequence[int]:
         """Reference positions whose minimizer has this hash."""
         return self._table.get(hash_value, ())

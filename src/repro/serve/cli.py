@@ -29,7 +29,6 @@ from repro.io.datasets import DATASET_REGISTRY
 from repro.serve.cluster import (
     ROUTE_POLICIES,
     ClusterConfig,
-    ClusterReport,
     ScalePlan,
     cluster_replay,
 )
@@ -249,7 +248,7 @@ def _make_trace(generator: LoadGenerator, args: argparse.Namespace) -> RequestTr
     return generator.replay(args.rate, args.requests)
 
 
-def _format_report(report: "ServeReport | ClusterReport") -> List[str]:
+def _format_report(report: ServeReport) -> List[str]:
     latency = report.telemetry["latency_ms"]
     wait = report.telemetry["wait_ms"]
     lanes = report.telemetry["lane_occupancy"]
@@ -331,7 +330,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"({trace.process} arrivals, ~{trace.offered_rate_rps:.0f} req/s offered)",
                 file=sys.stderr,
             )
-        reports: List["ServeReport | ClusterReport"]
+        reports: List[ServeReport]
         if args.resize_at and args.shards <= 1:
             raise ValueError("--resize-at needs a cluster drain (--shards >= 2)")
         if args.autotune and args.shards <= 1:

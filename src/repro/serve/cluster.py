@@ -14,14 +14,18 @@ The pieces, and where the determinism lives:
     mixes the request id through CRC32 (uniform spread), ``"length"``
     groups by anti-diagonal count (co-locating similar sweep lengths,
     the cluster mirror of length-aware batch formation).  The *same*
-    function partitions a replay trace and routes live submissions, so
-    the virtual-clock study and the live cluster agree on placement.
+    function partitions a replay trace and routes live submissions, and
+    :meth:`ShardRouter.place` is the one rule both use to skip shards
+    that cannot take work, so the virtual-clock study and the live
+    cluster agree on placement.
 :func:`cluster_replay`
     Deterministic cross-shard replay: the trace is partitioned by the
-    router, each partition drains through the ordinary
+    router, each partition drains once through the ordinary
     :func:`repro.serve.scheduler.replay` (arrival times unchanged --
-    shards share one clock), and the per-shard event streams merge into
-    one :class:`ClusterReport`.  Results are bit-identical to
+    shards share one clock; a crash is an event of the shard's own
+    replay, and only what the dying worker did not deliver is
+    re-routed), and the per-shard event streams merge into one
+    :class:`ClusterReport`.  Results are bit-identical to
     :meth:`repro.api.Session.align` on the trace's tasks, makespan is
     the slowest shard's makespan, and merged percentiles are computed on
     the pooled raw samples (:meth:`TelemetrySink.merge`), never by
@@ -70,6 +74,7 @@ each shard's own summary (see :mod:`repro.serve.telemetry`).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
 import threading
 import time
@@ -203,6 +208,22 @@ class ShardRouter:
         else:  # "length"
             key = task.num_antidiagonals // self.length_stride
         return int(key) % self.shards
+
+    def place(
+        self, task: AlignmentTask, request_id: int, usable: Callable[[int], bool]
+    ) -> Optional[int]:
+        """The routed shard if ``usable`` accepts it, else the first usable
+        shard scanning forward (wrapping); ``None`` when none is usable.
+
+        The one placement rule of both drivers: the replay skips shards
+        dead on arrival, the live cluster failed and retiring ones.
+        """
+        first = self.route(task, request_id)
+        for offset in range(self.shards):
+            shard = (first + offset) % self.shards
+            if usable(shard):
+                return shard
+        return None
 
     def partition(self, tasks: Sequence[AlignmentTask]) -> List[List[int]]:
         """Per-shard lists of trace indices (submission order preserved)."""
@@ -405,60 +426,26 @@ class ClusterConfig:
 # deterministic cross-shard replay
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ClusterReport:
-    """Merged outcome of one cluster drain (duck-types ServeReport).
+class ClusterReport(ServeReport):
+    """Merged outcome of one cluster drain.
 
-    ``requests`` are in global submission order with request ids
-    re-stamped to trace indices, so :meth:`results` lines up with
-    ``Session.align`` on the same tasks.  ``telemetry`` is the merged
-    schema-v4 summary: pooled samples at the top level plus a
-    ``"shards"`` block of per-shard summaries.  ``shard_reports`` holds
-    one :class:`ServeReport` per shard *segment* -- normally one per
-    shard, two for a shard whose worker crashed and was replaced
-    mid-drain -- so ``shards`` (the width of the drain's shard universe)
-    is carried separately.
+    ``config`` is the per-shard serve configuration, and ``requests``
+    are in global submission order with request ids re-stamped to trace
+    indices, so :meth:`results` lines up with ``Session.align`` on the
+    same tasks.  ``telemetry`` is the merged schema-v4 summary: pooled
+    samples at the top level plus a ``"shards"`` block of per-shard
+    summaries.  ``shard_reports`` holds one :class:`ServeReport` per
+    shard of the drain's shard universe, in index order; a crashed
+    shard's report covers both its dying worker and its replacement.
     """
 
-    policy: str
-    workload: str
     cluster: ClusterConfig
     shard_reports: Tuple[ServeReport, ...]
-    shard_count: int
-    requests: Tuple[ServeRequest, ...]
-    makespan_ms: float
-    telemetry: Dict[str, object]
-
-    @property
-    def config(self) -> ServeConfig:
-        """The per-shard serve configuration (record-builder surface)."""
-        return self.cluster.serve
 
     @property
     def shards(self) -> int:
-        return self.shard_count
-
-    @property
-    def num_requests(self) -> int:
-        return len(self.requests)
-
-    @property
-    def throughput_rps(self) -> float:
-        """Completed requests per second of virtual drain time."""
-        if self.makespan_ms <= 0:
-            return 0.0
-        return self.num_requests / self.makespan_ms * 1000.0
-
-    def results(self) -> List[AlignmentResult]:
-        """Alignment results in submission (trace) order."""
-        out: List[AlignmentResult] = []
-        for request in self.requests:
-            if request.result is None:
-                raise ValueError(f"request {request.request_id} has no result")
-            out.append(request.result)
-        return out
-
-    def scores(self) -> List[int]:
-        return [result.score for result in self.results()]
+        """The width of the drain's shard universe."""
+        return len(self.shard_reports)
 
 
 _INF = float("inf")
@@ -491,17 +478,18 @@ def cluster_replay(
     makes the drain elastic: requests route across the shard count
     active at their arrival; a removed shard drains the requests already
     assigned to it.  ``faults`` (default ``config.faults``) injects the
-    replay-side triggers of a :class:`~repro.serve.faults.FaultPlan`:
-    stalls/drops/duplicates thread into each shard's event loop, and a
-    crash at ``at_ms`` splits the shard's drain -- requests completed by
-    the crash survive, the rest are stranded and either re-routed
-    round-robin over the shards alive at the crash (arrival clamped to
-    the crash time) when ``config.retry_failed``, or the whole replay
-    raises :class:`ShardFailedError`, exactly like the live monitor.
-    Post-crash arrivals reach the shard's replacement worker when
-    ``config.max_restarts`` allows one, and are routed on to the next
-    alive shard otherwise.  Crash/retry/restart never change *what* is
-    computed -- only placement and timing -- which is what the chaos
+    replay-side triggers of a :class:`~repro.serve.faults.FaultPlan` into
+    each shard's ``replay()``: stalls, drops, duplicates and the crash
+    at ``at_ms``.  Each shard drains once, crashed shards first in crash
+    order, so the requests a crashed worker did not deliver (its
+    strands) reach the survivors before those drain.  Strands are either
+    re-routed round-robin over the shards alive at the crash (arrival
+    clamped to the crash time) when ``config.retry_failed``, or the
+    whole replay raises :class:`ShardFailedError`, exactly like the live
+    monitor.  Post-crash arrivals reach the shard's replacement worker
+    when ``config.max_restarts`` allows one, and are routed on to the
+    next alive shard otherwise.  Crash/retry/restart never change *what*
+    is computed -- only placement and timing -- which is what the chaos
     suite (``tests/serve/test_faults.py``) pins.
     """
     config = config or ClusterConfig()
@@ -542,30 +530,21 @@ def cluster_replay(
     def shards_at(at_ms: float) -> int:
         return plan.shards_at(at_ms, initial) if plan is not None else initial
 
-    def dead_at(shard: int, at_ms: float) -> bool:
-        """Whether ``shard`` can no longer take arrivals at ``at_ms``."""
-        if restartable:
-            return False
-        crash_ms = crash_times.get(shard)
-        return crash_ms is not None and crash_ms <= at_ms
-
     parent_sink = TelemetrySink()
     parent_sink.record_admission("admitted", len(trace))
 
     # Placement: each request lands on its arrival epoch's router target,
     # skipping shards already dead (crashed, unreplaceable) on arrival --
-    # the replay twin of the live offset scan in ``_target_shard``.
+    # the same rule the live cluster routes with.
     pending: List[List[Tuple[int, float]]] = [[] for _ in range(universe)]
     for index, (task, arrival) in enumerate(zip(trace.tasks, trace.arrivals_ms)):
-        active = shards_at(arrival)
-        first = router_for(active).route(task, index)
-        for offset in range(active):
-            shard = (first + offset) % active
-            if not dead_at(shard, arrival):
-                pending[shard].append((index, float(arrival)))
-                break
-        else:
-            raise ShardFailedError(first, exitcode=_CRASH_EXIT_CODE)
+        router = router_for(shards_at(arrival))
+        shard = router.place(
+            task, index, lambda s: restartable or arrival < crash_times.get(s, _INF)
+        )
+        if shard is None:
+            raise ShardFailedError(router.route(task, index), exitcode=_CRASH_EXIT_CODE)
+        pending[shard].append((index, float(arrival)))
 
     # Resize accounting: one event per step; relocated counts the
     # requests of the new epoch that the previous epoch's router would
@@ -586,67 +565,44 @@ def cluster_replay(
             )
             parent_sink.record_resize(relocated=moved)
 
-    shard_sinks: Dict[int, TelemetrySink] = {}
-    segment_reports: List[ServeReport] = []
+    shard_sinks = [TelemetrySink() for _ in range(universe)]
+    shard_reports: Dict[int, ServeReport] = {}
     merged_requests: List[Optional[ServeRequest]] = [None] * len(trace)
     retried = 0
-
-    def shard_sink(shard: int) -> TelemetrySink:
-        if shard not in shard_sinks:
-            shard_sinks[shard] = TelemetrySink()
-        return shard_sinks[shard]
-
-    def run_segment(
-        shard: int,
-        entries: Sequence[Tuple[int, float]],
-        view: Optional[ShardFaults],
-    ) -> Tuple[ServeReport, TelemetrySink]:
+    # Crashed shards drain first, in crash order, so their strands reach
+    # survivors before those survivors drain (a survivor that crashes
+    # *later* takes the hand-off and re-strands it chronologically).
+    for shard in sorted(range(universe), key=lambda s: (crash_times.get(s, _INF), s)):
+        entries = pending[shard]
         subtrace = RequestTrace(
             name=trace.name,
             process=trace.process,
             tasks=tuple(trace.tasks[index] for index, _ in entries),
             arrivals_ms=tuple(arrival for _, arrival in entries),
         )
-        sink = TelemetrySink()
-        report = replay(
-            subtrace, config.serve, service_time=service_time, sink=sink, faults=view
+        shard_reports[shard] = report = replay(
+            subtrace,
+            config.serve,
+            service_time=service_time,
+            sink=shard_sinks[shard],
+            faults=fault_plan.shard_faults(shard) if fault_plan else None,
         )
-        return report, sink
-
-    # Crashed shards drain first, in crash order, so their stranded work
-    # reaches survivors before those survivors drain (a survivor that
-    # crashes *later* takes the hand-off and re-strands it chronologically).
-    for shard, crash_ms in sorted(crash_times.items(), key=lambda kv: (kv[1], kv[0])):
-        entries = pending[shard]
-        doomed = [entry for entry in entries if entry[1] < crash_ms]
-        pending[shard] = [entry for entry in entries if entry[1] >= crash_ms]
-        assert restartable or not pending[shard]
-        view = fault_plan.shard_faults(shard) if fault_plan else None
-        report, sink = run_segment(shard, doomed, view)
-        segment_reports.append(report)
-        survivors: List[ServeRequest] = []
         stranded: List[Tuple[int, float]] = []
-        for request, (index, arrival) in zip(report.requests, doomed):
-            if request.completion_ms is not None and request.completion_ms <= crash_ms:
+        for request, (index, arrival) in zip(report.requests, entries):
+            if request.completion_ms is None:
+                stranded.append((index, arrival))
+            else:
                 request.request_id = index
                 merged_requests[index] = request
-                survivors.append(request)
-            else:
-                stranded.append((index, arrival))
-        # The doomed drain simulated past the crash to find the cut; keep
-        # only the per-request samples the worker actually delivered.
-        sink.wait_ms = [request.wait_ms for request in survivors]
-        sink.latency_ms = [request.latency_ms for request in survivors]
-        shard_sink(shard).merge(sink)
-        parent_sink.record_fault("crashes")
+        if shard in crash_times:
+            parent_sink.record_fault("crashes")
         if not stranded:
             continue
-        active = shards_at(crash_ms)
+        crash_ms = crash_times[shard]  # only a crash strands requests
         targets = [
             target
-            for target in range(active)
-            if target != shard
-            and (target not in crash_times or crash_times[target] > crash_ms)
+            for target in range(shards_at(crash_ms))
+            if target != shard and crash_times.get(target, _INF) > crash_ms
         ]
         if not (config.retry_failed and targets):
             raise ShardFailedError(shard, exitcode=_CRASH_EXIT_CODE)
@@ -659,32 +615,11 @@ def cluster_replay(
     if retried:
         parent_sink.record_admission("retried", retried)
 
-    for shard in range(universe):
-        entries = pending[shard]
-        crashed_here = shard in crash_times
-        if crashed_here and not entries:
-            continue  # nothing for a replacement worker to do
-        view = None
-        if fault_plan:
-            view = fault_plan.shard_faults(shard)
-            if crashed_here:
-                # The replacement worker: future stalls still apply,
-                # dispatch-indexed faults stayed with the dead worker.
-                view = view.after(crash_times[shard])
-            if not view:
-                view = None
-        report, sink = run_segment(shard, entries, view)
-        segment_reports.append(report)
-        for request, (index, _) in zip(report.requests, entries):
-            request.request_id = index
-            merged_requests[index] = request
-        shard_sink(shard).merge(sink)
-
     merged = parent_sink
     shards_block: Dict[str, object] = {}
-    for shard in sorted(shard_sinks):
-        shards_block[str(shard)] = shard_sinks[shard].summary()
-        merged.merge(shard_sinks[shard])
+    for shard, sink in enumerate(shard_sinks):
+        shards_block[str(shard)] = sink.summary()
+        merged.merge(sink)
     telemetry: Dict[str, object] = merged.summary()
     telemetry["shards"] = shards_block
     if autotune_choice is not None:
@@ -692,22 +627,16 @@ def cluster_replay(
 
     requests = tuple(r for r in merged_requests if r is not None)
     assert len(requests) == len(trace)
+    reports = tuple(shard_reports[shard] for shard in range(universe))
     return ClusterReport(
         policy=policy if policy is not None else config.policy_name,
         workload=trace.name,
-        cluster=config,
-        shard_reports=tuple(segment_reports),
-        shard_count=universe,
+        config=config.serve,
         requests=requests,
-        makespan_ms=max(
-            (
-                request.completion_ms
-                for request in requests
-                if request.completion_ms is not None
-            ),
-            default=0.0,
-        ),
+        makespan_ms=max(report.makespan_ms for report in reports),
         telemetry=telemetry,
+        cluster=config,
+        shard_reports=reports,
     )
 
 
@@ -829,6 +758,16 @@ def _shard_worker(
     service.shutdown(wait=True)
     result_queue.put(("telemetry", shard, service.telemetry.state()))
     result_queue.put(("exit", shard))
+
+
+def _fail_futures(
+    failures: Sequence[Tuple["Future[AlignmentResult]", BaseException]],
+) -> None:
+    """Fail each pending future with its error (call without the lock:
+    future callbacks are user code)."""
+    for future, error in failures:
+        if not future.done():
+            future.set_exception(error)
 
 
 # ----------------------------------------------------------------------
@@ -1104,38 +1043,35 @@ class ClusterService:
         with self._lock:
             return self._active
 
-    def _relocate_queued(self) -> Tuple[int, List[Tuple["Future[AlignmentResult]", BaseException]]]:
-        """Move queued requests whose routed shard changed (lock held).
-
-        Returns ``(moved, orphans)``: futures in ``orphans`` must be
-        failed *outside* the lock (their callbacks are user code).
+    def _reroute(
+        self,
+        source: _Shard,
+        requests: Sequence[ServeRequest],
+        pick: Callable[[ServeRequest], _Shard],
+        orphans: List[Tuple["Future[AlignmentResult]", BaseException]],
+    ) -> int:
+        """Queue ``requests``, taken off ``source``, on the shards ``pick``
+        chooses, futures included (lock held); returns how many changed
+        shard.  A request ``pick`` cannot place (:class:`ShardFailedError`)
+        has its future appended to ``orphans``, to be failed outside the
+        lock (future callbacks are user code).
         """
         moved = 0
-        orphans: List[Tuple["Future[AlignmentResult]", BaseException]] = []
-        for slot in self._shards[: self._active]:
-            if not slot.routable:
+        for request in requests:
+            try:
+                target = pick(request)
+            except ShardFailedError as error:
+                future = source.futures.pop(request.request_id, None)
+                if future is not None:
+                    orphans.append((future, error))
                 continue
-            strays = slot.batcher.preempt(
-                lambda r, here=slot.index: self._router.route(r.task, r.request_id)
-                != here
-            )
-            for request in strays:
-                try:
-                    target = self._target_shard(request.task, request.request_id)
-                except ShardFailedError as error:
-                    future = slot.futures.pop(request.request_id, None)
-                    if future is not None:
-                        orphans.append((future, error))
-                    continue
-                if target is slot:  # routed away, offset-scanned back
-                    slot.batcher.add(request)
-                    continue
-                target.batcher.add(request)
-                future = slot.futures.pop(request.request_id, None)
+            target.batcher.add(request)
+            if target is not source:
+                future = source.futures.pop(request.request_id, None)
                 if future is not None:
                     target.futures[request.request_id] = future
                 moved += 1
-        return moved, orphans
+        return moved
 
     def scale_to(self, shards: int) -> int:
         """Grow or shrink the live cluster to ``shards`` workers.
@@ -1193,78 +1129,57 @@ class ClusterService:
                         self._shards[index] = refreshed
                         slot = refreshed
                     to_spawn.append(slot)
-        if to_spawn:
-            # Grow: spawn processes and threads outside the lock, then
-            # publish the wider epoch atomically.
-            for slot in to_spawn:
-                self._spawn_worker(slot)
-            for slot in to_spawn:
-                self._start_shard_threads(slot)
-            with self._wakeup:
-                self._router = ShardRouter(
-                    shards=shards,
-                    policy=self._router.policy,
-                    length_stride=self._router.length_stride,
-                )
-                self._active = shards
-                moved, orphans = self._relocate_queued()
-                self.telemetry.record_resize(relocated=moved)
-                self._wakeup.notify_all()
-            for future, error in orphans:
-                if not future.done():
-                    future.set_exception(error)
-            return shards
-        # Shrink: publish the narrower router, then drain the leavers.
-        orphans = []
+        # Grow: spawn processes and threads outside the lock, then publish
+        # the wider epoch atomically.  Shrink: publish the narrower router
+        # first, then drain the leavers.
+        for slot in to_spawn:
+            self._spawn_worker(slot)
+        for slot in to_spawn:
+            self._start_shard_threads(slot)
+        orphans: List[Tuple["Future[AlignmentResult]", BaseException]] = []
         with self._wakeup:
-            self._router = ShardRouter(
-                shards=shards,
-                policy=self._router.policy,
-                length_stride=self._router.length_stride,
-            )
+            self._router = dataclasses.replace(self._router, shards=shards)
             self._active = shards
             moved = 0
-            for slot in self._shards[shards:]:
-                if slot.retiring or slot.process is None:
-                    continue
-                slot.retiring = True
-                if slot.failed:
-                    continue  # the crash path already re-routed its queue
-                for request in slot.batcher.preempt(lambda r: True):
-                    try:
-                        target = self._target_shard(
-                            request.task, request.request_id
-                        )
-                    except ShardFailedError as error:
-                        future = slot.futures.pop(request.request_id, None)
-                        if future is not None:
-                            orphans.append((future, error))
+            if shards > old:
+                # Queued requests whose routed shard changed migrate.
+                for slot in self._shards[:shards]:
+                    if not slot.routable:
                         continue
-                    target.batcher.add(request)
-                    future = slot.futures.pop(request.request_id, None)
-                    if future is not None:
-                        target.futures[request.request_id] = future
-                    moved += 1
+                    strays = slot.batcher.preempt(
+                        lambda r, here=slot.index: self._router.route(
+                            r.task, r.request_id
+                        )
+                        != here
+                    )
+                    moved += self._reroute(slot, strays, self._target_shard, orphans)
+            else:
+                for slot in self._shards[shards:]:
+                    if slot.retiring or slot.process is None:
+                        continue
+                    slot.retiring = True
+                    if slot.failed:
+                        continue  # the crash path already re-routed its queue
+                    queued = slot.batcher.preempt(lambda r: True)
+                    moved += self._reroute(slot, queued, self._target_shard, orphans)
             self.telemetry.record_resize(relocated=moved)
             self._wakeup.notify_all()
-        for future, error in orphans:
-            if not future.done():
-                future.set_exception(error)
+        _fail_futures(orphans)
         return shards
 
     # ------------------------------------------------------------------
     # submission
     # ------------------------------------------------------------------
-    def _target_shard(self, task: AlignmentTask, request_id: int) -> _Shard:
+    def _target_shard(self, request: ServeRequest) -> _Shard:
         """The routed shard among the active set, skipping failed and
         retiring ones (lock held)."""
-        active = self._active
-        first = self._router.route(task, request_id)
-        for offset in range(active):
-            shard = self._shards[(first + offset) % active]
-            if shard.routable:
-                return shard
-        raise ShardFailedError(first)
+        task, request_id = request.task, request.request_id
+        index = self._router.place(
+            task, request_id, lambda shard: self._shards[shard].routable
+        )
+        if index is None:
+            raise ShardFailedError(self._router.route(task, request_id))
+        return self._shards[index]
 
     def submit(
         self, task: AlignmentTask, *, priority: int = 0
@@ -1289,8 +1204,8 @@ class ClusterService:
                         self._active, baseline=self._router
                     )
                     self._autotune_choice = choice
-                    self._router = ShardRouter(
-                        shards=self._active,
+                    self._router = dataclasses.replace(
+                        self._router,
                         policy=choice.policy,
                         length_stride=choice.length_stride,
                     )
@@ -1303,7 +1218,7 @@ class ClusterService:
                     arrival_ms=self._now_ms(),
                     priority=priority,
                 )
-                shard = self._target_shard(task, request.request_id)
+                shard = self._target_shard(request)
                 decision = self._admission.decide(
                     request, shard.batcher.pending, tuple(shard.inflight.values())
                 )
@@ -1473,13 +1388,11 @@ class ClusterService:
                     if s is not shard and s.routable
                 ]
                 if self.config.retry_failed and survivors and stranded:
-                    for offset, request in enumerate(stranded):
-                        target = survivors[offset % len(survivors)]
-                        target.batcher.add(request)
-                        future = shard.futures.pop(request.request_id, None)
-                        if future is not None:
-                            target.futures[request.request_id] = future
-                    self.telemetry.record_admission("retried", len(stranded))
+                    rotation = itertools.cycle(survivors)
+                    retried = self._reroute(
+                        shard, stranded, lambda _: next(rotation), to_fail
+                    )
+                    self.telemetry.record_admission("retried", retried)
                 else:
                     error = ShardFailedError(shard.index, exitcode=exitcode)
                     for request in stranded:
@@ -1496,9 +1409,7 @@ class ClusterService:
                 if restart:
                     shard.restarts += 1
                 self._wakeup.notify_all()
-            for future, error in to_fail:  # callbacks outside the lock
-                if not future.done():
-                    future.set_exception(error)
+            _fail_futures(to_fail)  # callbacks outside the lock
             if not restart:
                 return
             self._spawn_worker(shard)
@@ -1542,6 +1453,3 @@ class ClusterService:
             summary["autotune"] = choice.to_dict()
         return summary
 
-
-# Re-exported by repro.serve; keep Callable referenced for typing tools.
-_ServiceTime = Callable[[Sequence[AlignmentTask]], float]

@@ -13,8 +13,8 @@ on every run and assert exact outcomes.
 Four fault kinds:
 
 :class:`CrashFault`
-    The worker of one shard dies abruptly (``os._exit`` live, a
-    two-phase survivor split in :func:`~repro.serve.cluster.cluster_replay`).
+    The worker of one shard dies abruptly (``os._exit`` live, an event
+    at ``at_ms`` in the shard's :func:`~repro.serve.scheduler.replay`).
     Everything queued or in flight on the shard is stranded and follows
     the normal crash contract: re-routed onto survivors under
     ``ClusterConfig(retry_failed=True)``, failed fast with
@@ -45,7 +45,7 @@ their own granularity.
 
 :class:`ShardFaults` is the per-shard view :func:`repro.serve.scheduler.replay`
 consumes: the cluster slices a plan into one view per shard and threads
-it through each shard's drain.
+it through each shard's drain, crash included.
 """
 
 from __future__ import annotations
@@ -144,22 +144,27 @@ class ShardFaults:
     """One shard's slice of a :class:`FaultPlan`, as the scheduler sees it.
 
     ``stalls`` are ``(at_ms, delay_ms)`` pairs sorted by time; ``drops``
-    and ``duplicates`` are 0-based dispatch indices.  A default-constructed
-    view is falsy, so drivers can skip the fault bookkeeping entirely when
-    no fault targets their shard.
+    and ``duplicates`` are 0-based dispatch indices; ``crash_ms`` is the
+    virtual time the shard's worker dies (``None`` = never).  A
+    default-constructed view is falsy, so drivers can skip the fault
+    bookkeeping entirely when no fault targets their shard.
     """
 
     stalls: Tuple[Tuple[float, float], ...] = ()
     drops: FrozenSet[int] = frozenset()
     duplicates: FrozenSet[int] = frozenset()
+    crash_ms: Optional[float] = None
 
     def __bool__(self) -> bool:
-        return bool(self.stalls or self.drops or self.duplicates)
+        return bool(
+            self.stalls or self.drops or self.duplicates or self.crash_ms is not None
+        )
 
     def after(self, at_ms: float) -> "ShardFaults":
         """The view a replacement worker sees after a crash at ``at_ms``:
         only stalls scheduled from then on; dispatch-indexed faults stay
-        with the first worker's dispatch stream."""
+        with the first worker's dispatch stream, and the crash with the
+        first worker."""
         return ShardFaults(
             stalls=tuple(stall for stall in self.stalls if stall[0] >= at_ms)
         )
@@ -220,13 +225,6 @@ class FaultPlan:
                 f"never has more than {shards} shard(s)"
             )
 
-    def crash_time(self, shard: int) -> Optional[float]:
-        """The virtual crash time of ``shard`` (None = no replay crash)."""
-        for crash in self.crashes:
-            if crash.shard == shard and crash.at_ms is not None:
-                return crash.at_ms
-        return None
-
     def crash_after(self, shard: int) -> Optional[int]:
         """The live served-count crash trigger of ``shard``."""
         for crash in self.crashes:
@@ -243,7 +241,8 @@ class FaultPlan:
         )
 
     def shard_faults(self, shard: int) -> ShardFaults:
-        """The replay-side view of ``shard``: stalls + dispatch faults."""
+        """The replay-side view of ``shard``: stalls, dispatch faults and
+        the crash time."""
         stalls = sorted(
             (delay.at_ms, delay.delay_ms)
             for delay in self.delays
@@ -256,5 +255,8 @@ class FaultPlan:
             ),
             duplicates=frozenset(
                 dup.dispatch for dup in self.duplicates if dup.shard == shard
+            ),
+            crash_ms=next(
+                (crash.at_ms for crash in self.crashes if crash.shard == shard), None
             ),
         )

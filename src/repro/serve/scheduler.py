@@ -35,6 +35,11 @@ internally, but get no refill) while the clock moves on; under
 ``"continuous"`` the stream advances one engine *slice* and the clock
 with it.
 
+A worker crash is an event of the same loop: the worker stops
+dispatching at the crash time, work it has not delivered by then stays
+unstamped, and a replacement worker runs the loop afresh on the later
+arrivals (see :func:`replay`).
+
 Three timing sources:
 
 ``timing="measured"``
@@ -180,45 +185,85 @@ def replay(
     from it either way.  ``faults`` injects a deterministic
     :class:`~repro.serve.faults.ShardFaults` view into the event loop --
     stalls push dispatch times, dropped dispatches restore their batch to
-    the queue, duplicated dispatches charge the worker twice (crash
-    faults live one level up, in ``cluster_replay``).  Results are
-    bit-identical to scoring the trace's tasks directly with the
-    configured engine -- neither batching, refill nor fault timing ever
-    changes the arithmetic.
+    the queue, duplicated dispatches charge the worker twice, and a crash
+    at ``faults.crash_ms`` kills the worker.  The dying worker serves
+    the arrivals before the crash and delivers a request iff it
+    completes by ``crash_ms``; every other pre-crash arrival keeps
+    ``completion_ms is None`` (the stranded work ``cluster_replay``
+    re-routes).  A replacement worker starts idle at ``crash_ms``, with
+    fresh state and ``faults.after(crash_ms)``, and serves the arrivals
+    from the crash on.  Results are bit-identical to scoring the trace's
+    tasks directly with the configured engine -- neither batching,
+    refill nor fault timing ever changes the arithmetic.
+    """
+    config = config or ServeConfig()
+    faults = faults if faults is not None else ShardFaults()
+    if config.resolved_refill() == "continuous" and (faults.drops or faults.duplicates):
+        raise ValueError(
+            "drop/duplicate faults address drain-mode batch dispatches; "
+            "continuous refill has no discrete dispatch stream to index "
+            "(use delay faults, or refill='drain')"
+        )
+    requests = trace.requests()
+    arrivals = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
+    sink = sink if sink is not None else TelemetrySink()
+    crash_ms = faults.crash_ms if faults.crash_ms is not None else _INF
+    before = [r for r in arrivals if r.arrival_ms < crash_ms]
+    _event_loop(before, config, faults, crash_ms, sink, service_time)
+    # The replacement worker: idle from the crash on, with fresh state.
+    after = arrivals[len(before):]
+    _event_loop(after, config, faults.after(crash_ms), _INF, sink, service_time)
+    return ServeReport(
+        policy=policy if policy is not None else config.policy_name,
+        workload=trace.name,
+        config=config,
+        requests=tuple(requests),
+        makespan_ms=max(
+            (r.completion_ms for r in requests if r.completion_ms is not None),
+            default=0.0,
+        ),
+        telemetry=sink.summary(),
+    )
+
+
+def _event_loop(
+    arrivals: Sequence[ServeRequest],
+    config: ServeConfig,
+    faults: ShardFaults,
+    until: float,
+    sink: TelemetrySink,
+    service_time: Optional[ServiceTime],
+) -> None:
+    """One worker's drain of ``arrivals`` (sorted by arrival time).
+
+    Stamps the requests it delivers in place.  The worker dies at
+    virtual time ``until``: it dispatches a batch or starts a slice only
+    before then, and delivers only what completes by then.
     """
     from repro.api.engines import open_batch
 
-    config = config or ServeConfig()
-    stalls = faults.stalls if faults is not None else ()
-    drops = faults.drops if faults is not None else frozenset()
-    duplicates = faults.duplicates if faults is not None else frozenset()
+    if not arrivals:
+        return
+    # Stalls due from ``until`` on belong to the replacement worker.
+    stalls = [stall for stall in faults.stalls if stall[0] < until]
     options = config.engine_options()
     stream: Optional[InFlightBatch] = None
     if config.resolved_refill() == "continuous":
-        if drops or duplicates:
-            raise ValueError(
-                "drop/duplicate faults address drain-mode batch dispatches; "
-                "continuous refill has no discrete dispatch stream to index "
-                "(use delay faults, or refill='drain')"
-            )
         stream = open_batch(
             (), engine=config.engine, options=options, capacity=config.max_batch_size
         )
     slice_width = (
         options.slice_width if options.slice_width is not None else DEFAULT_SLICE_WIDTH
     )
-    requests = trace.requests()
-    queue = deque(sorted(requests, key=lambda r: (r.arrival_ms, r.request_id)))
+    queue = deque(arrivals)
     batcher = MicroBatcher(
         config.max_batch_size, config.max_wait_ms, length_aware=config.length_aware
     )
-    sink = sink if sink is not None else TelemetrySink()
     workers = [0.0] * config.workers  # busy-until times (drain-then-form)
     inflight: Dict[int, ServeRequest] = {}  # stream lane -> request (continuous)
     stall_idx = 0
     dispatch_index = 0
     now = 0.0
-    makespan_end = 0.0
 
     def admit_until(limit_ms: float) -> None:
         while queue and queue[0].arrival_ms <= limit_ms:
@@ -290,6 +335,8 @@ def replay(
                 now = next_arrival
                 admit_until(now)
                 continue
+            if dispatch_at >= until:
+                break  # the worker dies before this dispatch
             now = max(now, dispatch_at)
             sink.record_fault("delays", stall_cursor - stall_idx)
             stall_idx = stall_cursor
@@ -297,7 +344,7 @@ def replay(
             sink.record_queue_depth(len(batcher))  # dispatched requests left the queue
             this_dispatch = dispatch_index
             dispatch_index += 1
-            if this_dispatch in drops:
+            if this_dispatch in faults.drops:
                 # The send was lost before reaching the worker: the batch
                 # returns to the queue and goes out on a later dispatch.
                 sink.record_fault("dropped")
@@ -320,7 +367,7 @@ def replay(
                     f"for a batch of {len(batch)} tasks"
                 )
             slot = workers.index(free_at)
-            if this_dispatch in duplicates:
+            if this_dispatch in faults.duplicates:
                 # Delivered twice: the worker serves both copies (the slot
                 # stays busy for two service times) but results are stamped
                 # once, at the first copy's completion.
@@ -357,19 +404,12 @@ def replay(
             ]
         for stat in stats:
             sink.record_slice(stat)
-        for request, result in completed:
-            request.result = result
-            request.completion_ms = completion
-            makespan_end = max(makespan_end, completion)
-            sink.record_request(request.wait_ms, request.latency_ms)
+        if completion <= until:  # work finishing after the crash is lost
+            for request, result in completed:
+                request.result = result
+                request.completion_ms = completion
+                sink.record_request(request.wait_ms, request.latency_ms)
         if stream is not None:
+            if now >= until:
+                break  # the worker died during this slice
             admit_until(now)  # arrivals during the slice meet its boundary
-
-    return ServeReport(
-        policy=policy if policy is not None else config.policy_name,
-        workload=trace.name,
-        config=config,
-        requests=tuple(requests),
-        makespan_ms=makespan_end,
-        telemetry=sink.summary(),
-    )

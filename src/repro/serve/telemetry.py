@@ -365,9 +365,9 @@ def serve_bench_record(
     policy on the same workload (the baseline itself anchors at 1.0, and
     its makespan fills ``cpu_time_ms`` -- the anchor slot of the record
     schema).  Telemetry summaries ride in the environment block under
-    ``"serve"``.  ``reports`` may mix :class:`ServeReport` and
-    :class:`repro.serve.cluster.ClusterReport` objects -- both expose the
-    same policy/workload/makespan/telemetry surface.
+    ``"serve"``.  A :class:`repro.serve.cluster.ClusterReport` is a
+    :class:`ServeReport`, so single-service and cluster drains fold into
+    one record alike.
     """
     # Imported lazily: repro.bench's package __init__ reaches repro.api,
     # which re-exports this module -- a module-level import would race
