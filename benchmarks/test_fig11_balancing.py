@@ -58,7 +58,8 @@ def test_fig11_balancing_techniques(benchmark, all_datasets, hardware):
     # on top of the plain orderings, and SR+UB improves on SR alone.
     # (Unlike the paper, plain sorting is the strongest policy here because
     # the synthetic datasets lack the extreme, termination-dominated
-    # outliers of real GIAB data -- see EXPERIMENTS.md.)
+    # outliers of real GIAB data -- see DESIGN.md, "Known deviations from
+    # the paper".)
     assert all(value >= 1.0 for value in geo.values())
     assert geo["SR+Original Order"] > 1.0
     assert geo["SR+UB"] >= geo["SR+Original Order"]

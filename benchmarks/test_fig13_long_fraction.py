@@ -64,8 +64,8 @@ def test_fig13_long_sequence_percentage(benchmark, hardware):
     # key robustness property), whereas its advantage *over sorting* does
     # not reproduce on these controlled mixtures -- with long tasks spread
     # uniformly through the input, the original order already places about
-    # one long task per warp, so UB has little left to fix (see
-    # EXPERIMENTS.md).
+    # one long task per warp, so UB has little left to fix (see DESIGN.md,
+    # "Known deviations from the paper").
     for f in FRACTIONS:
         assert table[f]["SR+UB"] >= 0.95
     assert table[0.10]["SR+UB"] >= 1.0

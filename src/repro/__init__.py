@@ -50,7 +50,7 @@ Subpackages
 from importlib import import_module
 from typing import TYPE_CHECKING, Any, List
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 #: Lazily re-exported public names: attribute -> defining module.
 _EXPORTS = {

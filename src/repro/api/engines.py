@@ -26,8 +26,10 @@ Two orthogonal extensions sit on top of the name-keyed callable:
 
 * **Typed options.**  :class:`EngineOptions` bundles the per-engine
   tuning knobs (``batch_size``, ``slice_width``); unset fields defer to
-  each engine's own defaults, and :func:`align_tasks`/:class:`Session`
-  take them as ``options=``.
+  each engine's own defaults, except that the workflows
+  (:class:`Session`, serving, the read mapper) pin an unset bucket size
+  through :meth:`EngineOptions.with_bucket`.  :func:`align_tasks` and
+  :class:`Session` take them as ``options=``.
 * **Streaming.**  Engines whose sweep can pause at slice boundaries
   register an ``open_batch`` factory; :func:`open_batch` returns their
   :class:`~repro.align.streaming.InFlightBatch` handle, and
@@ -71,7 +73,7 @@ __all__ = [
     "align_tasks",
 ]
 
-#: Signature every engine implements: ``(tasks, *, batch_size) -> results``.
+#: Signature every engine implements: ``(tasks, *, batch_size=...) -> results``.
 AlignmentEngine = Callable[..., List[AlignmentResult]]
 
 #: The engine registry.  ``"scalar"`` and ``"vector"`` are built in.
@@ -86,7 +88,8 @@ class EngineOptions:
     """Typed per-engine tuning options.
 
     One frozen bundle carries the ``batch_size`` / ``slice_width`` knobs
-    that Session, ServeConfig and the bench/serve CLIs hand to engines.
+    that Session, ServeConfig, LongReadMapper and the bench/serve CLIs
+    hand to engines; it is the only carrier of engine tuning.
     Every field is optional: ``None`` means "the engine's own default",
     so an empty ``EngineOptions()`` reproduces exactly what calling the
     engine with no keywords would do, and options written for one engine
@@ -114,6 +117,24 @@ class EngineOptions:
     def replace(self, **changes: Any) -> "EngineOptions":
         """A copy with ``changes`` applied (like :func:`dataclasses.replace`)."""
         return dataclasses.replace(self, **changes)
+
+    def with_bucket(self) -> "EngineOptions":
+        """These options with an unset ``batch_size`` set to the workflow default.
+
+        ``Session``, serving and ``LongReadMapper`` sweep buckets of
+        :data:`~repro.align.vector.DEFAULT_BUCKET_SIZE` unless told
+        otherwise; bare :func:`align_tasks` / :func:`open_batch` calls
+        leave an unset ``batch_size`` to the engine.  This is the only
+        place that rule is written.
+
+        >>> EngineOptions(slice_width=8).with_bucket()
+        EngineOptions(batch_size=64, slice_width=8)
+        >>> EngineOptions(batch_size=17).with_bucket().batch_size
+        17
+        """
+        if self.batch_size is not None:
+            return self
+        return self.replace(batch_size=DEFAULT_BUCKET_SIZE)
 
     def engine_kwargs(self, params: Sequence[str]) -> Dict[str, int]:
         """The keyword arguments to pass an engine accepting ``params``.

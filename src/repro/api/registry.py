@@ -27,7 +27,7 @@ class Registry(Generic[T]):
     Registration accepts either the decorator form::
 
         @ENGINES.register("vector")
-        def vector_engine(tasks, *, batch_size): ...
+        def vector_engine(tasks, *, batch_size=64): ...
 
     or the direct form::
 

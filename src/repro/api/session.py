@@ -43,7 +43,6 @@ import numpy as np
 from repro.align.scoring import ScoringScheme
 from repro.align.traceback import TracebackResult, batch_traceback
 from repro.align.types import AlignmentTask
-from repro.align.vector import DEFAULT_BUCKET_SIZE
 from repro.api.compare import compare_suite
 from repro.api.engines import EngineOptions, align_tasks, get_engine
 from repro.api.results import (
@@ -107,12 +106,12 @@ class Session:
     suite:
         Default kernel suite for :meth:`compare` (``"mm2"`` by default).
     options:
-        Typed engine tuning (:class:`repro.api.EngineOptions`):
-        ``batch_size`` is the engine's bucket size, also applied to the
-        kernels' batched scoring path (``None`` inherits
-        ``kernel_config.batch_bucket_size`` when a kernel config is
-        given, else :data:`~repro.align.vector.DEFAULT_BUCKET_SIZE`);
-        ``slice_width`` tunes the compaction slice width.
+        Typed engine tuning (:class:`repro.api.EngineOptions`) for
+        :meth:`align`, :meth:`map_reads` and :meth:`serve`:
+        ``batch_size`` is the engine's bucket size (``None`` means
+        :data:`~repro.align.vector.DEFAULT_BUCKET_SIZE`, see
+        :meth:`EngineOptions.with_bucket`); ``slice_width`` tunes the
+        compaction slice width.
     kernel_config:
         Base :class:`KernelConfig` for kernels built by this session.
     hardware_scale, device, cpu, cost:
@@ -192,7 +191,7 @@ class Session:
         self.scoring = scoring
         self.engine = engine
         self.suite = suite
-        self.options = options if options is not None else EngineOptions()
+        self.options = (options if options is not None else EngineOptions()).with_bucket()
         self.kernel_config = kernel_config
         self.hardware_scale = hardware_scale
         self._device = device
@@ -219,38 +218,9 @@ class Session:
         scaled_device, scaled_cpu = scaled_hardware(self.hardware_scale)
         return self._device or scaled_device, self._cpu or scaled_cpu
 
-    def effective_batch_size(self) -> int:
-        """The engine bucket size this session actually uses."""
-        if self.options.batch_size is not None:
-            return self.options.batch_size
-        if self.kernel_config is not None:
-            return self.kernel_config.batch_bucket_size
-        return DEFAULT_BUCKET_SIZE
-
-    def engine_options(self) -> EngineOptions:
-        """The resolved :class:`EngineOptions` this session's engine sees.
-
-        The configured options with ``batch_size`` pinned to
-        :meth:`effective_batch_size` (so the kernel-config fallback is
-        reflected), ready to hand to :func:`repro.api.align_tasks` or
-        :func:`repro.api.open_batch`.
-        """
-        return self.options.replace(batch_size=self.effective_batch_size())
-
-    def effective_kernel_config(self) -> KernelConfig:
-        """The kernel config with the session's batch size applied.
-
-        An explicit ``options.batch_size`` wins; otherwise an explicit
-        ``kernel_config.batch_bucket_size`` is left untouched.
-        """
-        base = self.kernel_config or KernelConfig()
-        if self.options.batch_size is not None:
-            base = base.replace(batch_bucket_size=self.options.batch_size)
-        return base
-
     def kernels(self, suite: Optional[str] = None) -> Dict[str, GuidedKernel]:
         """Fresh kernels of one suite (the session default when omitted)."""
-        return build_suite(suite or self.suite, self.effective_kernel_config())
+        return build_suite(suite or self.suite, self.kernel_config)
 
     # ------------------------------------------------------------------
     # workload
@@ -301,14 +271,13 @@ class Session:
         either way.
         """
         workload = tuple(tasks) if tasks is not None else self.workload()
-        options = self.engine_options()
-        results = align_tasks(workload, engine=self.engine, options=options)
+        results = align_tasks(workload, engine=self.engine, options=self.options)
         tracebacks: Optional[Tuple[TracebackResult, ...]] = None
         if cigars:
             tracebacks = tuple(batch_traceback(workload, results))
         return AlignmentOutcome(
             engine=self.engine,
-            batch_size=options.batch_size,
+            batch_size=self.options.batch_size,
             results=tuple(results),
             cigars=tracebacks,
         )
@@ -327,7 +296,7 @@ class Session:
                 self._reference,
                 self.scoring,
                 engine=self.engine,
-                batch_size=self.effective_batch_size(),
+                options=self.options,
                 **self.mapper_options,
             )
         return self._mapper
@@ -369,7 +338,7 @@ class Session:
         ``options`` are forwarded to the kernel factory (e.g. the AGAThA
         ablation flags or ``target=`` for the baselines).
         """
-        instance = get_kernel(kernel)(self.effective_kernel_config(), **options)
+        instance = get_kernel(kernel)(self.kernel_config, **options)
         workload = tuple(tasks) if tasks is not None else self.workload()
         device, _ = self.hardware()
         stats = instance.simulate(workload, device, self.cost)
@@ -408,7 +377,7 @@ class Session:
         """An online micro-batching service bound to this session's engine.
 
         Without arguments the service inherits the session's engine and
-        effective batch size; pass a full
+        options; pass a full
         :class:`~repro.serve.config.ServeConfig` or keyword overrides
         (``max_batch_size=``, ``max_wait_ms=``, ``workers=``, ...) for
         the scheduling policy.  The returned
@@ -445,11 +414,7 @@ class Session:
                 cluster = cluster.replace(serve=cluster.serve.replace(**overrides))
             return ClusterService(cluster)
         if config is None:
-            config = ServeConfig(
-                engine=self.engine,
-                batch_size=self.effective_batch_size(),
-                options=self.engine_options(),
-            )
+            config = ServeConfig(engine=self.engine, options=self.options)
         if overrides:
             config = config.replace(**overrides)
         if shards is not None and shards != 1:
@@ -494,7 +459,7 @@ class Session:
             workers=workers,
             datasets=datasets,
             suites=tuple(suites) if suites is not None else None,
-            config=self.effective_kernel_config(),
+            config=self.kernel_config,
             device=device,
             cpu=cpu,
             cost=self.cost,

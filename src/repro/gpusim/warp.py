@@ -88,17 +88,16 @@ class WarpAssignment:
 
 
 def round_robin_assignment(
-    task_order: Sequence[int],
-    subwarp_size: int,
-    tasks_per_subwarp_hint: int | None = None,
+    task_order: Sequence[int], subwarp_size: int
 ) -> List[WarpAssignment]:
     """Assign tasks to warps/subwarps in the given order.
 
     This is the baseline assignment the paper criticises: tasks go to
     subwarps strictly in input order, so a run of long tasks lands on
     neighbouring subwarps of the same warp.  Tasks are dealt one per
-    subwarp, filling a warp's subwarps before moving to the next warp,
-    then wrapping around for the next layer of tasks.
+    subwarp, filling a warp's subwarps before moving to the next warp;
+    enough warps are created for every subwarp to receive at most one
+    task (grid-stride batching is handled by the executor instead).
 
     Parameters
     ----------
@@ -106,25 +105,16 @@ def round_robin_assignment(
         Task indices in the order they should be dealt.
     subwarp_size:
         Threads per subwarp.
-    tasks_per_subwarp_hint:
-        Optional cap on how many warps are created: when given, exactly
-        ``ceil(len(task_order) / (subwarps_per_warp * hint))`` warps are
-        used, each subwarp receiving up to ``hint`` tasks.  By default the
-        number of warps is chosen so subwarps receive one task each
-        (grid-stride batching is handled by the executor instead).
     """
     order = list(task_order)
     subwarps_per_warp = split_warp(subwarp_size)
     if not order:
         return []
-    if tasks_per_subwarp_hint is None or tasks_per_subwarp_hint <= 0:
-        tasks_per_subwarp_hint = 1
-    slots_needed = -(-len(order) // tasks_per_subwarp_hint)
-    num_warps = -(-slots_needed // subwarps_per_warp)
+    num_warps = -(-len(order) // subwarps_per_warp)
     warps = [WarpAssignment.empty(w, subwarp_size) for w in range(num_warps)]
     # Deal tasks subwarp-by-subwarp in order: warp 0 subwarp 0, warp 0
-    # subwarp 1, ..., warp 1 subwarp 0, ... then wrap for the next layer.
+    # subwarp 1, ..., warp 1 subwarp 0, ...
     flat_slots = [sw for warp in warps for sw in warp.subwarps]
-    for idx, task_index in enumerate(order):
-        flat_slots[idx % len(flat_slots)].assign(task_index)
+    for slot, task_index in zip(flat_slots, order):
+        slot.assign(task_index)
     return warps

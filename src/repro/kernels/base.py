@@ -56,21 +56,11 @@ class KernelConfig:
         Cells per block edge (8, from the 4-bit input packing).
     slice_width:
         Sliced-diagonal slice width in blocks (AGAThA settles on 3).
-    tasks_per_subwarp:
-        Batching factor: how many tasks one subwarp slot processes
-        sequentially before the launch is considered a new wave.  The
-        executor's warp-slot scheduling already models queuing, so this is
-        left at 1 unless a kernel needs grid-stride batching.
-    batch_bucket_size:
-        Tasks swept simultaneously by the vector engine
-        (:mod:`repro.align.vector`) that scores every kernel's tasks.
     """
 
     subwarp_size: int = 8
     block_size: int = 8
     slice_width: int = 3
-    tasks_per_subwarp: int = 1
-    batch_bucket_size: int = DEFAULT_BUCKET_SIZE
 
     def replace(self, **changes) -> "KernelConfig":
         """Return a copy with the given fields replaced."""
@@ -114,17 +104,19 @@ class GuidedKernel:
         """Prime the per-task profile caches in one batched sweep.
 
         Tasks that already carry a cached profile are left untouched; the
-        remainder is swept by the vector engine and the resulting profiles
-        (bit-identical to the scalar engine's) are cached on the tasks so
-        every later consumer -- scoring, workload accounting, other
-        kernels -- reuses them.
+        remainder is swept by the vector engine in buckets of the workflow
+        default :data:`~repro.align.vector.DEFAULT_BUCKET_SIZE` (the bucket
+        never changes a profile) and the resulting profiles (bit-identical
+        to the scalar engine's) are cached on the tasks so every later
+        consumer -- scoring, workload accounting, other kernels -- reuses
+        them.
         """
         missing = [task for task in tasks if task._profile is None]
         if not missing:
             return
         profiles = vector_align(
             missing,
-            bucket_size=self.config.batch_bucket_size,
+            bucket_size=DEFAULT_BUCKET_SIZE,
             return_profiles=True,
         )
         for task, profile in zip(missing, profiles):
@@ -142,7 +134,7 @@ class GuidedKernel:
         return vector_align(
             tasks,
             termination=termination,
-            bucket_size=self.config.batch_bucket_size,
+            bucket_size=DEFAULT_BUCKET_SIZE,
         )
 
     # ------------------------------------------------------------------

@@ -12,7 +12,6 @@
 
 from repro.pipeline.mapper import LongReadMapper, ReadMapping
 from repro.pipeline.experiment import (
-    ExperimentConfig,
     dataset_tasks,
     all_dataset_names,
     scaled_hardware,
@@ -22,7 +21,6 @@ from repro.pipeline.experiment import (
 __all__ = [
     "LongReadMapper",
     "ReadMapping",
-    "ExperimentConfig",
     "dataset_tasks",
     "all_dataset_names",
     "scaled_hardware",

@@ -20,27 +20,23 @@ DESIGN.md, "The public API layer").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, List, Mapping, Sequence
 
 import numpy as np
 
 from repro.align.types import AlignmentTask
-from repro.align.vector import DEFAULT_BUCKET_SIZE
 from repro.baselines.cpu_model import CpuSpec, EPYC_16C_SSE4
 from repro.gpusim.device import CostModel, DeviceSpec, RTX_A6000
 from repro.io.datasets import DATASET_REGISTRY, DatasetSpec
-from repro.kernels import GuidedKernel, KernelConfig
+from repro.kernels import GuidedKernel
 
 __all__ = [
-    "ExperimentConfig",
     "all_dataset_names",
     "dataset_tasks",
     "scaled_hardware",
     "speedup_table",
     "geometric_mean",
-    "DEFAULT_BUCKET_SIZE",
 ]
 
 
@@ -48,24 +44,6 @@ __all__ = [
 #: tasks, which saturate roughly one SM worth of an A6000, so the hardware
 #: pair is scaled down to that size on both sides (ratios are preserved).
 DEFAULT_HARDWARE_SCALE: float = 1.0 / 84.0
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Knobs of an experiment run (kept small and hashable for caching).
-
-    ``batch_size`` is the bucket size of the struct-of-arrays vector
-    engine that primes the kernels' task profiles; benchmarks sweep it
-    (``benchmarks/test_vector_engine.py``).
-    """
-
-    hardware_scale: float = DEFAULT_HARDWARE_SCALE
-    kernel_config: KernelConfig = field(default_factory=KernelConfig)
-    batch_size: int = DEFAULT_BUCKET_SIZE
-
-    def make_kernel_config(self) -> KernelConfig:
-        """The kernel config with the experiment's batch size applied."""
-        return self.kernel_config.replace(batch_bucket_size=self.batch_size)
 
 
 def all_dataset_names() -> List[str]:

@@ -20,19 +20,21 @@ alignment", Section 5.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
 from repro.align.scoring import ScoringScheme
 from repro.align.types import AlignmentResult, AlignmentTask
-from repro.align.vector import DEFAULT_BUCKET_SIZE
 from repro.io.seed_chain import (
     Chain,
     MinimizerIndex,
     chain_anchors,
     extension_tasks_for_read,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api imports pipeline)
+    from repro.api.engines import EngineOptions
 
 __all__ = ["ReadMapping", "LongReadMapper"]
 
@@ -75,8 +77,10 @@ class LongReadMapper:
         (``"vector"`` by default: each read's extension tasks go to the
         struct-of-arrays engine as one batch.  ``"scalar"`` aligns them
         one by one -- scores are bit-identical, just slower).
-    batch_size:
-        Bucket size handed to the engine.
+    options:
+        Typed engine tuning (:class:`repro.api.EngineOptions`) for every
+        engine call; an unset ``batch_size`` takes the workflow default
+        (:meth:`~repro.api.EngineOptions.with_bucket`).
     """
 
     def __init__(
@@ -90,7 +94,7 @@ class LongReadMapper:
         max_extension: int = 4096,
         anchor_spacing: int = 200,
         engine: str = "vector",
-        batch_size: int = DEFAULT_BUCKET_SIZE,
+        options: Optional["EngineOptions"] = None,
     ):
         self.reference = np.asarray(reference, dtype=np.uint8)
         self.scoring = scoring
@@ -102,10 +106,10 @@ class LongReadMapper:
         self.engine = engine
         # Imported lazily (repro.api.session imports this module); fail
         # fast on unknown engine names rather than mid-mapping.
-        from repro.api.engines import get_engine
+        from repro.api.engines import EngineOptions, get_engine
 
         get_engine(self.engine)
-        self.batch_size = batch_size
+        self.options = (options if options is not None else EngineOptions()).with_bucket()
         self.index = MinimizerIndex(self.reference, k=k, w=w)
 
     # ------------------------------------------------------------------
@@ -146,13 +150,9 @@ class LongReadMapper:
     ) -> List[AlignmentResult]:
         """Align extension tasks with the configured engine."""
         # Imported lazily: repro.api.session imports this module.
-        from repro.api.engines import EngineOptions, align_tasks
+        from repro.api.engines import align_tasks
 
-        return align_tasks(
-            tasks,
-            engine=self.engine,
-            options=EngineOptions(batch_size=self.batch_size),
-        )
+        return align_tasks(tasks, engine=self.engine, options=self.options)
 
     def map_read(self, read: np.ndarray, read_id: int = 0) -> ReadMapping:
         """Map one read end to end (chain + extension alignment)."""

@@ -25,6 +25,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
+from repro.align.vector import DEFAULT_BUCKET_SIZE
 from repro.io.datasets import DATASET_REGISTRY
 from repro.serve.cluster import (
     ROUTE_POLICIES,
@@ -112,7 +113,7 @@ def _parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="B",
-        help="engine bucket size (default: the engine default)",
+        help=f"engine bucket size (default: {DEFAULT_BUCKET_SIZE})",
     )
     parser.add_argument(
         "--slice-width",

@@ -21,8 +21,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.align.vector import DEFAULT_BUCKET_SIZE
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api imports serve)
     from repro.api.engines import EngineOptions
 
@@ -48,16 +46,12 @@ class ServeConfig:
         Alignment engine name from the :mod:`repro.api` engine registry
         (``"vector"`` by default: it streams natively, so the default
         refill is continuous; ``"scalar"`` is the oracle path).
-    batch_size:
-        Bucket size handed to the engine (``None`` keeps the engine
-        default).  This is the *engine's* internal SIMD bucket; the
-        scheduler's own batch bound is ``max_batch_size``.  Equivalent to
-        ``options.batch_size`` (setting both to different values is an
-        error).
     options:
-        Typed engine tuning (:class:`repro.api.EngineOptions`); carries
-        ``slice_width`` for streaming engines in addition to
-        ``batch_size``.  ``None`` means engine defaults.
+        Typed engine tuning (:class:`repro.api.EngineOptions`):
+        ``batch_size`` is the *engine's* internal SIMD bucket (the
+        scheduler's own batch bound is ``max_batch_size``) and
+        ``slice_width`` tunes streaming engines.  ``None`` fields take
+        the workflow defaults of :meth:`engine_options`.
     refill:
         ``"auto"`` (default), ``"continuous"`` or ``"drain"`` -- see the
         module docstring.  ``"continuous"`` requires an engine that
@@ -99,7 +93,6 @@ class ServeConfig:
     """
 
     engine: str = "vector"
-    batch_size: Optional[int] = None
     max_batch_size: int = 32
     max_wait_ms: float = 4.0
     workers: int = 1
@@ -118,8 +111,6 @@ class ServeConfig:
             raise ValueError("max_wait_ms must be non-negative")
         if self.workers <= 0:
             raise ValueError("workers must be positive")
-        if self.batch_size is not None and self.batch_size <= 0:
-            raise ValueError("batch_size must be positive when given")
         if self.timing not in TIMING_MODES:
             raise ValueError(
                 f"timing must be one of {TIMING_MODES}, got {self.timing!r}"
@@ -130,16 +121,6 @@ class ServeConfig:
             )
         if self.model_overhead_ms < 0 or self.model_task_us < 0 or self.model_antidiag_us < 0:
             raise ValueError("modeled-timing parameters must be non-negative")
-        if (
-            self.options is not None
-            and self.batch_size is not None
-            and self.options.batch_size is not None
-            and self.options.batch_size != self.batch_size
-        ):
-            raise ValueError(
-                f"conflicting bucket sizes: batch_size={self.batch_size} vs "
-                f"options.batch_size={self.options.batch_size}"
-            )
         # Fail fast on unknown engine names, mirroring Session's eager
         # registry validation.  Imported lazily: the engine registry
         # lives above this module in the import graph.
@@ -155,26 +136,15 @@ class ServeConfig:
 
     # ------------------------------------------------------------------
     def engine_options(self) -> "EngineOptions":
-        """Typed engine tuning with ``batch_size`` folded in.
+        """``options`` with the workflow default bucket size applied.
 
-        The returned options always pin a concrete ``batch_size`` (the
-        registry contract lets engines require it), so both refill modes
-        call engines exactly like the pre-streaming scheduler did.
+        The result always pins a concrete ``batch_size``
+        (:meth:`repro.api.EngineOptions.with_bucket`), so both refill
+        modes hand engines the same bucket as :class:`repro.api.Session`.
         """
         from repro.api.engines import EngineOptions
 
-        base = self.options if self.options is not None else EngineOptions()
-        if base.batch_size is None:
-            base = base.replace(batch_size=self.effective_batch_size())
-        return base
-
-    def effective_batch_size(self) -> int:
-        """The engine bucket size this configuration actually uses."""
-        if self.batch_size is not None:
-            return self.batch_size
-        if self.options is not None and self.options.batch_size is not None:
-            return self.options.batch_size
-        return DEFAULT_BUCKET_SIZE
+        return (self.options if self.options is not None else EngineOptions()).with_bucket()
 
     def resolved_refill(self) -> str:
         """``refill`` with ``"auto"`` resolved against the engine."""

@@ -46,7 +46,7 @@ class TestRetiredShims:
     """Shims whose one-release window ended are gone, not silently kept."""
 
     @pytest.mark.parametrize(
-        "name", ["kernel_suite", "align_workload", "compare_kernels"]
+        "name", ["kernel_suite", "align_workload", "compare_kernels", "ExperimentConfig"]
     )
     def test_experiment_shims_are_gone(self, name):
         assert not hasattr(experiment, name)
@@ -57,8 +57,7 @@ class TestRetiredShims:
     def test_batch_size_and_batched_keywords_are_gone(self, fn):
         params = inspect.signature(fn).parameters
         assert "batched" not in params
-        if fn is not LongReadMapper:  # the mapper's bucket size is not a shim
-            assert "batch_size" not in params
+        assert "batch_size" not in params
 
     @pytest.mark.parametrize("name", ["batch", "batch-sliced"])
     def test_batch_engine_aliases_are_gone(self, name):
@@ -83,6 +82,21 @@ class TestRetiredShims:
     def test_kernel_config_engine_switches_are_gone(self, changes):
         with pytest.raises(TypeError):
             KernelConfig(**changes)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: KernelConfig(batch_bucket_size=64),
+            lambda: KernelConfig(tasks_per_subwarp=1),
+            lambda: ServeConfig(batch_size=64),
+        ],
+        ids=["KernelConfig.batch_bucket_size", "KernelConfig.tasks_per_subwarp",
+             "ServeConfig.batch_size"],
+    )
+    def test_retired_config_fields_are_gone(self, make):
+        # Engine tuning reaches engines only through EngineOptions.
+        with pytest.raises(TypeError):
+            make()
 
     def test_scoring_engine_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -8,6 +8,7 @@ otherwise.  Regenerate with::
     PYTHONPATH=src python tests/api/test_public_surface.py --regen
 """
 
+import re
 from pathlib import Path
 
 import repro
@@ -44,6 +45,16 @@ def test_all_lists_are_duplicate_free_and_sorted_manifest():
     assert len(set(repro.api.__all__)) == len(repro.api.__all__)
     committed = MANIFEST.read_text(encoding="utf-8").splitlines()
     assert committed == sorted(committed)
+
+
+def test_version_matches_pyproject():
+    # pyproject.toml is the canonical metadata; Python 3.10 has no tomllib.
+    pyproject = Path(__file__).resolve().parents[2] / "pyproject.toml"
+    match = re.search(
+        r'^version\s*=\s*"([^"]+)"', pyproject.read_text(encoding="utf-8"), re.MULTILINE
+    )
+    assert match is not None, "no version in pyproject.toml"
+    assert repro.__version__ == match.group(1)
 
 
 def test_py_typed_marker_ships():

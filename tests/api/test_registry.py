@@ -96,9 +96,9 @@ class TestBuiltinRegistries:
         assert SUITES.get("ablation").labels[0] == "Baseline"
 
     def test_build_suite_applies_config(self):
-        config = KernelConfig(batch_bucket_size=17)
+        config = KernelConfig(slice_width=5)
         suite = build_suite("mm2", config)
-        assert all(k.config.batch_bucket_size == 17 for k in suite.values())
+        assert all(k.config.slice_width == 5 for k in suite.values())
 
     def test_build_suite_fresh_instances(self):
         first, second = build_suite("mm2"), build_suite("mm2")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.align import preset
+from repro.align.vector import DEFAULT_BUCKET_SIZE, DEFAULT_SLICE_WIDTH
 from repro.api import (
     AlignmentOutcome,
     ComparisonOutcome,
@@ -11,7 +12,9 @@ from repro.api import (
     MappingOutcome,
     Session,
     SimulationOutcome,
+    register_engine,
 )
+from repro.api.engines import ENGINES, vector_engine
 from repro.io.datasets import TECHNOLOGY_PROFILES, simulate_reads, synthetic_reference
 from repro.kernels import KernelConfig
 
@@ -74,6 +77,11 @@ class TestAlign:
             r.cells_computed for r in scalar
         ]
 
+    def test_align_reports_the_bucket_size(self, task_batch):
+        assert Session(tasks=task_batch).align().batch_size == DEFAULT_BUCKET_SIZE == 64
+        tuned = Session(tasks=task_batch, options=EngineOptions(batch_size=17))
+        assert tuned.align().batch_size == 17
+
     def test_workload_cached_between_calls(self, task_batch):
         session = Session(tasks=task_batch)
         assert session.workload() is session.workload()
@@ -94,32 +102,6 @@ class TestSimulateAndCompare:
             subwarp_rejoining=False, uneven_bucketing=False,
         )
         assert "Baseline" in outcome.kernel
-
-    def test_batch_size_flows_into_kernels(self, task_batch):
-        session = Session(tasks=task_batch, options=EngineOptions(batch_size=17))
-        assert session.effective_batch_size() == 17
-        assert session.effective_kernel_config().batch_bucket_size == 17
-        assert all(
-            k.config.batch_bucket_size == 17 for k in session.kernels().values()
-        )
-
-    def test_explicit_kernel_config_bucket_size_is_preserved(self, task_batch):
-        # batch_size=None must not clobber an explicit kernel_config value.
-        session = Session(
-            tasks=task_batch, kernel_config=KernelConfig(batch_bucket_size=256)
-        )
-        assert session.effective_batch_size() == 256
-        assert session.effective_kernel_config().batch_bucket_size == 256
-        assert session.align().batch_size == 256
-
-    def test_explicit_batch_size_beats_kernel_config(self, task_batch):
-        session = Session(
-            tasks=task_batch,
-            options=EngineOptions(batch_size=17),
-            kernel_config=KernelConfig(batch_bucket_size=256),
-        )
-        assert session.effective_batch_size() == 17
-        assert session.effective_kernel_config().batch_bucket_size == 17
 
     def test_kernel_config_base_is_respected(self, task_batch):
         session = Session(
@@ -166,6 +148,32 @@ class TestMapping:
         assert len(outcome) == len(sequences)
         assert outcome.num_mapped == len(outcome.mapped)
         assert [m.read_id for m in outcome] == list(range(len(sequences)))
+
+    def test_map_reads_hands_the_engine_the_session_options(self, mapping_setup):
+        """Read mapping sweeps with the session's whole ``EngineOptions``,
+        ``slice_width`` included, like :meth:`Session.align` does."""
+        reference, scoring, sequences = mapping_setup
+        seen = set()
+
+        def spy_engine(tasks, *, batch_size, slice_width=DEFAULT_SLICE_WIDTH):
+            seen.add((batch_size, slice_width))
+            return vector_engine(tasks, batch_size=batch_size, slice_width=slice_width)
+
+        register_engine(
+            "spy-mapper-test", spy_engine, option_params=("batch_size", "slice_width")
+        )
+        try:
+            tuned = Session(
+                reference=reference,
+                scoring=scoring,
+                engine="spy-mapper-test",
+                options=EngineOptions(batch_size=17, slice_width=8),
+            ).map_reads(sequences)
+        finally:
+            ENGINES.unregister("spy-mapper-test")
+        assert seen == {(17, 8)}
+        default = Session(reference=reference, scoring=scoring).map_reads(sequences)
+        assert tuned.mappings == default.mappings
 
     def test_streaming_matches_batch(self, mapping_setup):
         reference, scoring, sequences = mapping_setup

@@ -35,8 +35,8 @@ class TestSuites:
         assert full.rolling_window and full.uneven_bucketing
 
     def test_suite_config_flows_through(self):
-        suite = build_suite("mm2", KernelConfig(batch_bucket_size=17))
-        assert all(k.config.batch_bucket_size == 17 for k in suite.values())
+        suite = build_suite("mm2", KernelConfig(slice_width=5))
+        assert all(k.config.slice_width == 5 for k in suite.values())
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):

@@ -7,7 +7,6 @@ from repro.baselines.cpu_model import EPYC_16C_SSE4
 from repro.gpusim.device import RTX_A6000
 from repro.kernels import AgathaKernel, BaselineExactKernel
 from repro.pipeline.experiment import (
-    ExperimentConfig,
     all_dataset_names,
     geometric_mean,
     scaled_hardware,
@@ -39,13 +38,6 @@ class TestKernelSuite:
     def test_invalid_target(self):
         with pytest.raises(KeyError, match="unknown suite"):
             build_suite("x")
-
-    def test_experiment_config_batch_size_flows_to_kernels(self):
-        suite = build_suite("mm2", ExperimentConfig(batch_size=17).make_kernel_config())
-        assert all(
-            k.config.batch_bucket_size == 17
-            for k in suite.values()
-        )
 
 
 class TestCompare:

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.align.vector import DEFAULT_BUCKET_SIZE
 from repro.api import EngineOptions, align_tasks
 from repro.serve import LoadGenerator, ServeConfig, replay
 from repro.serve.queueing import MicroBatcher, ServeRequest
@@ -165,20 +166,12 @@ class TestServeConfigStreaming:
         with pytest.raises(ValueError, match="refill"):
             ServeConfig(refill="sometimes")
 
-    def test_conflicting_bucket_sizes(self):
-        with pytest.raises(ValueError, match="conflicting"):
-            ServeConfig(batch_size=8, options=EngineOptions(batch_size=16))
-
     def test_engine_options_pins_batch_size(self):
-        config = ServeConfig(options=EngineOptions(slice_width=6))
-        opts = config.engine_options()
-        assert opts.batch_size == config.effective_batch_size()
-        assert opts.slice_width == 6
-        sized = ServeConfig(batch_size=12)
+        assert ServeConfig().engine_options() == EngineOptions(batch_size=DEFAULT_BUCKET_SIZE)
+        opts = ServeConfig(options=EngineOptions(slice_width=6)).engine_options()
+        assert opts == EngineOptions(batch_size=DEFAULT_BUCKET_SIZE, slice_width=6)
+        sized = ServeConfig(options=EngineOptions(batch_size=12))
         assert sized.engine_options().batch_size == 12
-        assert sized.effective_batch_size() == 12
-        via_options = ServeConfig(options=EngineOptions(batch_size=9))
-        assert via_options.effective_batch_size() == 9
 
 
 class TestQueueHooks:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Session
+from repro.api import EngineOptions, Session
 from repro.serve import ServeConfig, modeled_service_ms, replay
 
 
@@ -145,7 +145,7 @@ class TestReportAndConfig:
         with pytest.raises(ValueError):
             ServeConfig(timing="wallclock")
         with pytest.raises(ValueError):
-            ServeConfig(batch_size=0)
+            ServeConfig(options=EngineOptions(batch_size=0))
         with pytest.raises(KeyError):
             ServeConfig(engine="no-such-engine")
 

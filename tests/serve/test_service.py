@@ -27,7 +27,7 @@ class TestLiveService:
         session = Session(tasks=serve_tasks, options=EngineOptions(batch_size=16))
         with session.serve(max_wait_ms=1.0, max_batch_size=4) as service:
             assert service.config.engine == "vector"
-            assert service.config.batch_size == 16
+            assert service.config.engine_options().batch_size == 16
             assert service.config.max_batch_size == 4
             served = service.map(serve_tasks)
         assert served == list(session.align().results)
