@@ -9,8 +9,9 @@ and Diff-Target suites and the AGAThA ablation ladder through the
 sharded experiment runner -- the same machine-readable record
 ``python -m repro.bench`` writes to ``BENCH_<figure>.json``.
 
-Run:  python examples/kernel_comparison.py   (first run takes ~30 s: the
-dataset's dynamic programs are profiled once, in pure Python)
+Run:  python examples/kernel_comparison.py   (~3 s on a 2-vCPU host, with
+a cold or a warm workload cache: every task's profile comes from one
+batched vector-engine sweep, shared by the CPU model and every kernel)
 """
 
 from repro.analysis.report import format_table

@@ -82,8 +82,8 @@ class AlignmentResult:
 
 @dataclass
 class AlignmentProfile:
-    """Per-anti-diagonal view of one alignment, produced by the vectorised
-    engine (:func:`repro.align.antidiagonal.antidiagonal_align`).
+    """Per-anti-diagonal view of one alignment, produced by the vector
+    engine (:func:`repro.align.vector.task_profiles`).
 
     Attributes
     ----------
@@ -180,22 +180,18 @@ class AlignmentTask:
         return self.geometry.num_antidiagonals
 
     # ------------------------------------------------------------------
-    def profile(self, force: bool = False) -> AlignmentProfile:
-        """Compute (and cache) the alignment profile of this task.
+    def profile(self) -> AlignmentProfile:
+        """The cached alignment profile of this task.
 
-        The profile is produced by the vectorised anti-diagonal engine with
-        the task's own scoring scheme; every kernel simulation reuses it so
-        the dynamic program runs once per task regardless of how many
-        kernel variants are benchmarked.
+        :func:`repro.align.vector.task_profiles` on a bucket of one: the
+        profile is computed once, with the task's own scoring scheme, and
+        every later consumer reuses it.  Prime many tasks in one call to
+        ``task_profiles`` rather than one by one.
         """
-        if self._profile is None or force:
-            # Imported lazily to avoid a circular import at module load.
-            from repro.align.antidiagonal import antidiagonal_align
+        # Imported lazily to avoid a circular import at module load.
+        from repro.align.vector import task_profiles
 
-            self._profile = antidiagonal_align(
-                self.ref, self.query, self.scoring, return_profile=True
-            )
-        return self._profile
+        return task_profiles([self])[0]
 
     def invalidate_profile(self) -> None:
         """Drop the cached profile (used after mutating scoring in tests)."""

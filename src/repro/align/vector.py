@@ -79,7 +79,10 @@ The sweep is a resumable stream (:class:`VectorStream`, implementing the
 :class:`repro.align.streaming.InFlightBatch` contract): every task
 carries its own anti-diagonal offset, so a task admitted at any slice
 boundary sweeps exactly as if it had started a fresh batch.
-:func:`vector_align` is the open-everything-then-drain wrapper.
+:func:`vector_align` is the open-everything-then-drain wrapper, and
+:func:`task_profiles` is the one place alignment profiles are computed:
+the kernel simulations, the CPU model and workload analysis all prime
+through it.
 """
 
 from __future__ import annotations
@@ -103,13 +106,14 @@ __all__ = [
     "TaskBatch",
     "VectorStream",
     "pack_tasks",
+    "task_profiles",
     "vector_align",
 ]
 
 #: Bucket size the workflow layers (``Session``, ``ServeConfig``,
-#: ``LongReadMapper``, ``KernelConfig``) hand the engine unless told
-#: otherwise: small enough that the length spread inside one sorted
-#: bucket stays narrow.
+#: ``LongReadMapper``) hand the engine unless told otherwise, and the
+#: bucket of :func:`task_profiles`: small enough that the length spread
+#: inside one sorted bucket stays narrow.
 DEFAULT_BUCKET_SIZE: int = 64
 
 #: Bucket size of a bare :func:`vector_align` call (and of the registered
@@ -1236,3 +1240,27 @@ def vector_align(
         for i, item in zip(bucket, swept):
             out[i] = item
     return out
+
+
+def task_profiles(tasks: Sequence[AlignmentTask]) -> List[AlignmentProfile]:
+    """Every task's :class:`AlignmentProfile`, in input order.
+
+    The one place a profile is computed.  Tasks without a cached profile
+    are swept together in one :func:`vector_align` call, in buckets of
+    :data:`DEFAULT_BUCKET_SIZE` (the bucket never changes a profile), and
+    each profile is cached on its task, so every later consumer -- kernel
+    scoring and simulation, the CPU model, workload analysis -- reuses it.
+    :meth:`AlignmentTask.profile` is this function on a bucket of one.
+    """
+    missing = [task for task in tasks if task._profile is None]
+    swept = iter(
+        vector_align(missing, bucket_size=DEFAULT_BUCKET_SIZE, return_profiles=True)
+        if missing
+        else []
+    )
+    profiles: List[AlignmentProfile] = []
+    for task in tasks:
+        if task._profile is None:
+            task._profile = next(swept)
+        profiles.append(task._profile)
+    return profiles

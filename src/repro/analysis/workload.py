@@ -15,6 +15,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.align.types import AlignmentTask
+from repro.align.vector import task_profiles
 from repro.gpusim.trace import KernelLaunchStats
 
 __all__ = [
@@ -28,7 +29,7 @@ __all__ = [
 def task_workload_antidiagonals(tasks: Sequence[AlignmentTask]) -> np.ndarray:
     """Per-task workload in processed anti-diagonals (Figure 3b's measure)."""
     return np.asarray(
-        [task.profile().antidiagonals_processed for task in tasks], dtype=np.int64
+        [p.antidiagonals_processed for p in task_profiles(tasks)], dtype=np.int64
     )
 
 

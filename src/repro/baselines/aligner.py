@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.align.types import AlignmentResult, AlignmentTask
+from repro.align.vector import task_profiles
 from repro.baselines.cpu_model import CpuSpec, EPYC_16C_SSE4
 
 __all__ = ["CpuAligner", "Minimap2CpuAligner", "BwaMemCpuAligner"]
@@ -33,13 +34,13 @@ class CpuAligner:
     # ------------------------------------------------------------------
     def run(self, tasks: Sequence[AlignmentTask]) -> List[AlignmentResult]:
         """Exact alignment results (the reference output)."""
-        return [task.profile().result for task in tasks]
+        return [profile.result for profile in task_profiles(tasks)]
 
     # ------------------------------------------------------------------
     def total_cells(self, tasks: Sequence[AlignmentTask]) -> float:
         """Banded cells the guided algorithm computes (no run-ahead: the
         CPU checks the termination condition after every anti-diagonal)."""
-        return float(sum(task.profile().cells_computed for task in tasks))
+        return float(sum(p.cells_computed for p in task_profiles(tasks)))
 
     def time_ms(self, tasks: Sequence[AlignmentTask]) -> float:
         """Wall-clock estimate of aligning ``tasks`` on this machine."""

@@ -30,7 +30,6 @@ from repro.align.types import AlignmentProfile, AlignmentTask
 from repro.core.sliced_diagonal import HorizontalChunkSchedule, SlicedDiagonalSchedule
 from repro.core.subwarp_rejoin import SliceCost, SubwarpRejoinSimulator, TaskSliceCosts
 from repro.core.uneven_bucketing import (
-    assign_tasks_to_warps,
     original_order,
     sorted_order,
     uneven_bucketing_order,
@@ -222,10 +221,6 @@ class AgathaKernel(GuidedKernel):
         if self.scheduling == "sorted":
             return sorted_order(workloads)
         return original_order(workloads)
-
-    def assign_warps(self, tasks, profiles) -> List[WarpAssignment]:
-        order = self.order_tasks(tasks, profiles)
-        return assign_tasks_to_warps(order, self.config.subwarp_size)
 
     # ------------------------------------------------------------------
     def warp_cycles(

@@ -28,7 +28,7 @@ from typing import List, Sequence
 
 from repro.align.blocks import BlockGrid
 from repro.align.types import AlignmentProfile, AlignmentResult, AlignmentTask
-from repro.align.vector import DEFAULT_BUCKET_SIZE, vector_align
+from repro.align.vector import DEFAULT_BUCKET_SIZE, task_profiles, vector_align
 from repro.gpusim.device import CostModel, DeviceSpec, RTX_A6000
 from repro.gpusim.executor import GpuExecutor
 from repro.gpusim.trace import (
@@ -94,33 +94,10 @@ class GuidedKernel:
         Exact kernels share the wavefront engine; the scheduling scheme
         affects *when* cells are computed, never their values, so this is
         the faithful output of the simulated kernel.  Uncached tasks are
-        scored by the struct-of-arrays vector engine in one sweep per
-        bucket; the results are bit-identical to the scalar path.
+        profiled by :func:`~repro.align.vector.task_profiles` in one
+        batched sweep; the results are bit-identical to the scalar path.
         """
-        self._ensure_profiles(tasks)
-        return [task.profile().result for task in tasks]
-
-    def _ensure_profiles(self, tasks: Sequence[AlignmentTask]) -> None:
-        """Prime the per-task profile caches in one batched sweep.
-
-        Tasks that already carry a cached profile are left untouched; the
-        remainder is swept by the vector engine in buckets of the workflow
-        default :data:`~repro.align.vector.DEFAULT_BUCKET_SIZE` (the bucket
-        never changes a profile) and the resulting profiles (bit-identical
-        to the scalar engine's) are cached on the tasks so every later
-        consumer -- scoring, workload accounting, other kernels -- reuses
-        them.
-        """
-        missing = [task for task in tasks if task._profile is None]
-        if not missing:
-            return
-        profiles = vector_align(
-            missing,
-            bucket_size=DEFAULT_BUCKET_SIZE,
-            return_profiles=True,
-        )
-        for task, profile in zip(missing, profiles):
-            task._profile = profile
+        return [profile.result for profile in task_profiles(tasks)]
 
     def _batched_scores(
         self, tasks: Sequence[AlignmentTask], termination: str
@@ -202,8 +179,7 @@ class GuidedKernel:
     ) -> KernelLaunchStats:
         """Simulate one launch of this kernel over ``tasks`` on ``device``."""
         cost = cost or CostModel()
-        self._ensure_profiles(tasks)
-        profiles = [task.profile() for task in tasks]
+        profiles = task_profiles(tasks)
         workloads = [
             self.task_workload(task, profile, device, cost)
             for task, profile in zip(tasks, profiles)

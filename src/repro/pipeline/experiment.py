@@ -63,9 +63,10 @@ def dataset_tasks(name: str) -> tuple[AlignmentTask, ...]:
     (``$REPRO_CACHE_DIR`` / ``~/.cache/repro``), shared across processes
     and runs; on top of it, the per-process ``lru_cache`` retains the
     materialised task objects together with each task's alignment
-    profile (computed lazily by the kernels), so the dynamic program
-    runs once per task no matter how many kernels and figures reuse the
-    dataset within one process.
+    profile (computed by the first consumer's batched
+    :func:`~repro.align.vector.task_profiles` sweep), so the dynamic
+    program runs once per task no matter how many kernels and figures
+    reuse the dataset within one process.
     """
     # Imported lazily: repro.bench.runner imports this module at load time.
     from repro.bench.cache import WorkloadCache

@@ -61,6 +61,34 @@ class TestCpuAligner:
         avx = Minimap2CpuAligner(get_cpu("avx512-48c"))
         assert avx.time_ms(task_batch) < sse.time_ms(task_batch)
 
+    def test_every_profile_consumer_shares_one_batched_sweep(self, task_batch, monkeypatch):
+        """The CPU model, workload analysis, the kernels and
+        ``AlignmentTask.profile`` all read profiles primed by one
+        ``vector_align`` sweep; none falls back to the scalar engine."""
+        import repro.align.antidiagonal as antidiagonal
+        import repro.align.vector as vector
+        from repro.analysis.workload import task_workload_antidiagonals
+        from repro.kernels import AgathaKernel
+
+        def scalar_engine(*args, **kwargs):
+            raise AssertionError("a profile was computed by the scalar engine")
+
+        swept = []
+        vector_align = vector.vector_align
+
+        def counting_vector_align(tasks, **kwargs):
+            swept.append(len(tasks))
+            return vector_align(tasks, **kwargs)
+
+        monkeypatch.setattr(antidiagonal, "antidiagonal_align", scalar_engine)
+        monkeypatch.setattr(vector, "vector_align", counting_vector_align)
+        Minimap2CpuAligner().total_cells(task_batch)
+        task_workload_antidiagonals(task_batch)
+        AgathaKernel().run(task_batch)
+        AgathaKernel().simulate(task_batch)
+        task_batch[0].profile()
+        assert swept == [len(task_batch)]
+
     def test_display_names(self):
         assert "Minimap2" in Minimap2CpuAligner().display_name
         assert "BWA-MEM" in BwaMemCpuAligner().display_name

@@ -125,8 +125,13 @@ class TestConfigValidation:
             assert got.same_score(want)
         for task in task_batch:
             sliced_profile = task.profile()
-            scalar_profile = task.profile(force=True)
+            scalar_profile = antidiagonal_align(
+                task.ref, task.query, task.scoring, return_profile=True
+            )
             assert scalar_profile.result == sliced_profile.result
             assert np.array_equal(
                 scalar_profile.antidiag_maxima, sliced_profile.antidiag_maxima
+            )
+            assert np.array_equal(
+                scalar_profile.cells_per_antidiag, sliced_profile.cells_per_antidiag
             )
