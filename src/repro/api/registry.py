@@ -4,8 +4,8 @@ One :class:`Registry` instance backs each extension point of the public
 API -- alignment engines, kernel factories and kernel suites.  The class
 is deliberately tiny: string keys, decorator-or-direct registration,
 duplicate-name protection, and error messages that list what *is*
-available (the same convention :func:`repro.io.datasets.get_dataset_spec`
-follows for datasets).
+available (the same convention :func:`repro.workloads.resolve_spec`
+follows for dataset and workload names).
 """
 
 from __future__ import annotations

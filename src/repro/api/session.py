@@ -55,7 +55,6 @@ from repro.api.suites import build_suite, get_kernel, get_suite
 from repro.baselines.aligner import CpuAligner
 from repro.baselines.cpu_model import CpuSpec
 from repro.gpusim.device import CostModel, DeviceSpec
-from repro.io.datasets import DATASET_REGISTRY, get_dataset_spec
 from repro.kernels import GuidedKernel, KernelConfig
 from repro.pipeline.experiment import DEFAULT_HARDWARE_SCALE, scaled_hardware
 
@@ -68,20 +67,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.service import AlignmentService
 
 __all__ = ["Session"]
-
-
-def _resolve_dataset_name(name: str) -> "SpecLike":
-    """Resolve a dataset *or* registered workload name to its spec.
-
-    The dataset registry wins (its names are pinned in baselines); the
-    workloads package is imported lazily so the registry of built-in
-    workloads only materialises when a session actually names one.
-    """
-    if name in DATASET_REGISTRY:
-        return get_dataset_spec(name)
-    from repro.workloads import resolve_spec
-
-    return resolve_spec(name)
 
 
 class Session:
@@ -117,7 +102,9 @@ class Session:
     hardware_scale, device, cpu, cost:
         Hardware overrides; by default the scaled pair of DESIGN.md.
     cache_dir, use_cache:
-        Workload-cache policy for dataset sessions.
+        Workload-cache policy for dataset sessions
+        (:func:`repro.bench.cache.workload_tasks`): ``use_cache=True``
+        leaves persistence to ``$REPRO_NO_CACHE``, ``False`` turns it off.
     mapper_options:
         Extra keyword arguments for the underlying
         :class:`~repro.pipeline.mapper.LongReadMapper` (``k``, ``w``,
@@ -181,9 +168,13 @@ class Session:
         # Fail fast on unknown registry names.
         get_engine(engine)
         get_suite(suite)
-        self._spec: Optional["SpecLike"] = (
-            _resolve_dataset_name(dataset) if isinstance(dataset, str) else dataset
-        )
+        if isinstance(dataset, str):
+            # Imported here: repro.workloads imports repro.api.suites, and
+            # tasks=/reference= sessions never load the workload registry.
+            from repro.workloads import resolve_spec
+
+            dataset = resolve_spec(dataset)
+        self._spec: Optional["SpecLike"] = dataset
         self._tasks = tuple(tasks) if tasks is not None else None
         self._reference = (
             np.asarray(reference, dtype=np.uint8) if reference is not None else None
@@ -231,24 +222,17 @@ class Session:
             if self._tasks is not None:
                 self._workload = self._tasks
             elif self._spec is not None:
-                self._workload = self._dataset_tasks(self._spec)
+                from repro.bench.cache import workload_tasks
+
+                self._workload = workload_tasks(
+                    self._spec, self.cache_dir, self.use_cache
+                )
             else:
                 raise ValueError(
                     "reference= sessions have no fixed workload; "
                     "use map_reads()/read_workload(reads) or configure dataset=/tasks="
                 )
         return self._workload
-
-    def _dataset_tasks(self, spec: "SpecLike") -> Tuple[AlignmentTask, ...]:
-        # Registry datasets under default cache policy share the in-process
-        # memo (and its per-task profile cache) with the bench runner.
-        if self.cache_dir is None and self.use_cache and DATASET_REGISTRY.get(spec.name) == spec:
-            from repro.pipeline.experiment import dataset_tasks
-
-            return dataset_tasks(spec.name)
-        from repro.bench.cache import WorkloadCache
-
-        return WorkloadCache(self.cache_dir, enabled=self.use_cache).tasks(spec)
 
     # ------------------------------------------------------------------
     # alignment

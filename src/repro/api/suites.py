@@ -12,11 +12,10 @@ the process from the suite name and a :class:`KernelConfig`, exactly as
 before.  Each spec records the module that registered it (``origin``),
 so spawn-started bench workers can import that plugin module and rebuild
 a custom suite too; only suites registered directly in ``__main__``
-cannot shard (the runner rejects them eagerly under spawn, the same
-limitation the old ``kernel_factory`` path had).  Registering a new kernel and a suite that references it makes
-the kernel appear in ``python -m repro.bench --suites``, in
-:meth:`repro.api.Session.compare` and in figure records without touching
-any other layer::
+cannot shard (the runner rejects them eagerly under spawn).  Registering
+a new kernel and a suite that references it makes the kernel appear in
+``python -m repro.bench --suites``, in :meth:`repro.api.Session.compare`
+and in figure records without touching any other layer::
 
     register_kernel("MyKernel", MyKernel)
     register_suite("mine", [SuiteEntry.make("MyKernel", "MyKernel")])

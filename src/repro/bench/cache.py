@@ -3,10 +3,9 @@
 Building a benchmark workload is the expensive half of every figure
 reproduction: the synthetic reads of a :class:`~repro.io.datasets.DatasetSpec`
 must be pushed through minimizer seeding and chaining before the kernels
-see a single :class:`~repro.align.types.AlignmentTask`.  The experiment
-harness used to repeat that pre-compute once per process (a per-process
-``lru_cache``), so every worker of a sharded run -- and every fresh CI
-job -- paid it again.
+see a single :class:`~repro.align.types.AlignmentTask`.  Without a
+persistent store every worker of a sharded run -- and every fresh CI
+job -- would pay that pre-compute again.
 
 :class:`WorkloadCache` stores the finished task list on disk, keyed by a
 fingerprint of the *complete* dataset specification (every field of the
@@ -29,6 +28,12 @@ entries -- oldest mtime first; loads touch their entry's mtime so a hit
 counts as use -- until the total drops under the cap.  Unset means
 unbounded, the historical behaviour.  ``python -m repro.bench
 --cache-info`` / ``--cache-clear`` inspect and reset the store.
+
+:func:`workload_tasks` is the one in-process entry point on top of the
+store: every consumer that names a workload (``Session``, the bench
+runner's cells, ``dataset_tasks`` and, through ``Session``, the serving
+CLI) gets the same task tuple from it, so the alignment profiles cached
+on those tasks are computed once per process.
 """
 
 from __future__ import annotations
@@ -40,19 +45,19 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.align.types import AlignmentTask
-from repro.io.datasets import DatasetSpec, build_dataset
+from repro.io.datasets import DatasetSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.workloads.base import WorkloadSpec
 
 #: Anything the cache can key and build: a seeded dataset spec, or any
 #: frozen dataclass implementing the structural workload hooks
-#: (``build_tasks`` / ``cache_fingerprint_extra``, see
+#: (``build_tasks``, and optionally ``cache_fingerprint_extra``; see
 #: :mod:`repro.workloads.base`).
 SpecLike = Union[DatasetSpec, "WorkloadSpec"]
 
@@ -66,14 +71,15 @@ __all__ = [
     "spec_fingerprint",
     "build_workload",
     "WorkloadCache",
+    "workload_tasks",
 ]
 
 #: On-disk payload format version; bump when the pickle layout changes.
 CACHE_SCHEMA_VERSION = 1
 
 #: Version of the workload pre-compute (seeding/chaining/mapper defaults).
-#: Bump whenever :func:`build_workload` or the mapper changes the tasks it
-#: emits for an unchanged :class:`DatasetSpec`.
+#: Bump whenever :meth:`DatasetSpec.build_tasks` or the mapper changes the
+#: tasks it emits for an unchanged :class:`DatasetSpec`.
 WORKLOAD_VERSION = 1
 
 
@@ -142,22 +148,11 @@ def spec_fingerprint(spec: SpecLike) -> str:
 def build_workload(spec: SpecLike) -> Tuple[AlignmentTask, ...]:
     """Materialise one spec's workload (the expensive path the cache skips).
 
-    Specs that implement ``build_tasks()`` -- registered workloads --
-    build themselves.  Seeded :class:`DatasetSpec` datasets run the
-    historical pre-compute: materialise the synthetic reference and
-    reads, index the reference, chain every read and extract its
-    extension-alignment tasks (paper Section 5.1).
+    Every spec builds itself through its ``build_tasks()`` hook: seeded
+    :class:`DatasetSpec` datasets seed and chain their simulated reads,
+    registered workloads run their own generator.
     """
-    build_hook = getattr(spec, "build_tasks", None)
-    if callable(build_hook):
-        return tuple(build_hook())
-    # Imported here: the mapper imports experiment helpers lazily and we
-    # keep this module importable without the full pipeline at load time.
-    from repro.pipeline.mapper import LongReadMapper
-
-    reference, reads = build_dataset(spec)
-    mapper = LongReadMapper(reference, spec.scoring)
-    return tuple(mapper.workload([r.sequence for r in reads]))
+    return tuple(spec.build_tasks())
 
 
 class WorkloadCache:
@@ -386,3 +381,29 @@ class WorkloadCache:
         if not workloads.is_dir():
             return []
         return sorted(workloads.glob("*.pkl"))
+
+
+#: The in-process memo behind :func:`workload_tasks`, keyed by (cache
+#: root, persistence enabled, spec fingerprint).  It keeps every workload
+#: the process names alive for the life of the process; pool workers each
+#: hold their own (cells are pure, so results are identical either way).
+_TASKS: Dict[Tuple[str, bool, str], Tuple[AlignmentTask, ...]] = {}
+
+
+def workload_tasks(
+    spec: SpecLike, cache_dir: Optional[str] = None, use_cache: bool = True
+) -> Tuple[AlignmentTask, ...]:
+    """The tasks of ``spec``, one shared tuple per process and cache policy.
+
+    The tuple comes from a :class:`WorkloadCache` at ``cache_dir``
+    (``None`` resolves the root from the environment).  ``use_cache=True``
+    leaves persistence to ``$REPRO_NO_CACHE``; ``use_cache=False`` turns
+    it off.  Repeated calls return the same task objects, so the
+    alignment profiles cached on them are computed once per process no
+    matter how many sessions, figure cells or kernels read the workload.
+    """
+    cache = WorkloadCache(cache_dir, enabled=None if use_cache else False)
+    key = (str(cache.root), cache.enabled, spec_fingerprint(spec))
+    if key not in _TASKS:
+        _TASKS[key] = cache.tasks(spec)
+    return _TASKS[key]

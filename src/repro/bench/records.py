@@ -79,10 +79,10 @@ class SuiteRecord:
     """Results of one kernel suite over a set of datasets.
 
     ``speedups`` is exactly the mapping
-    :func:`repro.pipeline.experiment.speedup_table` returns for the same
-    datasets and kernels (``kernel -> {dataset: speedup, ..., "GeoMean"}``),
-    so record contents can be compared bit for bit against the serial
-    harness.
+    :func:`repro.bench.runner.run_speedup_table` returns for the same
+    datasets and suite (``kernel -> {dataset: speedup, ..., "GeoMean"}``),
+    so record contents can be compared bit for bit against a serial
+    run.
     """
 
     suite: str
@@ -131,7 +131,7 @@ class BenchRecord:
 
     # ------------------------------------------------------------------
     def speedup_table(self, suite: str) -> Dict[str, Dict[str, float]]:
-        """The speedup table of one suite (as ``speedup_table`` returns it)."""
+        """The speedup table of one suite (as ``run_speedup_table`` returns it)."""
         return self.suites[suite].speedups
 
     @property

@@ -6,9 +6,10 @@ depends on another.  The runner materialises that structure explicitly:
 
 * a :class:`BenchCell` is a picklable work unit (dataset spec, suite
   name, kernel/launch configuration, hardware pair, cache location);
-* :func:`run_cell` executes one cell -- loading the workload from the
-  persistent :class:`~repro.bench.cache.WorkloadCache` so workers skip
-  the seeding/chaining pre-compute -- and returns plain summaries;
+* :func:`run_cell` executes one cell -- taking the workload from
+  :func:`~repro.bench.cache.workload_tasks`, whose persistent cache lets
+  workers skip the seeding/chaining pre-compute -- and returns plain
+  summaries;
 * :func:`run_cells` maps cells over a ``ProcessPoolExecutor`` (or runs
   them serially for ``workers <= 1``) and returns results **in input
   order**, so downstream aggregation is independent of completion order;
@@ -32,10 +33,10 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.suites import ABLATION_LADDER, build_suite as _registry_build_suite, suite_names
 from repro.baselines.cpu_model import CpuSpec
-from repro.bench.cache import SpecLike, WorkloadCache, spec_fingerprint
+from repro.bench.cache import SpecLike, WorkloadCache, workload_tasks
 from repro.bench.records import BenchRecord, CellRecord, SuiteRecord, environment_metadata
 from repro.gpusim.device import CostModel, DeviceSpec
-from repro.io.datasets import DATASET_REGISTRY, get_dataset_spec
+from repro.io.datasets import DATASET_REGISTRY
 from repro.kernels import GuidedKernel, KernelConfig
 
 __all__ = [
@@ -141,25 +142,17 @@ def build_suite(
 
 
 def resolve_specs(datasets: Sequence[str | SpecLike]) -> List[SpecLike]:
-    """Accept registry names or explicit specs; return concrete specs.
+    """Accept dataset/workload names or explicit specs; return concrete specs.
 
-    Names resolve through the seeded dataset registry first, then the
-    workload registry (:func:`repro.workloads.resolve_spec`), so every
-    registered workload is runnable wherever a dataset name is.
+    Names resolve through :func:`repro.workloads.resolve_spec`, the one
+    name lookup, so every registered workload is runnable wherever a
+    dataset name is.
     """
-    resolved: List[SpecLike] = []
-    for entry in datasets:
-        if not isinstance(entry, str):
-            resolved.append(entry)
-        elif entry in DATASET_REGISTRY:
-            resolved.append(get_dataset_spec(entry))
-        else:
-            # Imported lazily: the workloads package imports the suite
-            # registry, which this module also feeds.
-            from repro.workloads import resolve_spec
+    # Imported lazily: the workloads package imports the suite registry,
+    # which this module also feeds.
+    from repro.workloads import resolve_spec
 
-            resolved.append(resolve_spec(entry))
-    return resolved
+    return [resolve_spec(entry) if isinstance(entry, str) else entry for entry in datasets]
 
 
 # ----------------------------------------------------------------------
@@ -171,8 +164,10 @@ class BenchCell:
 
     Everything in a cell is picklable, so cells travel to pool workers
     as-is; kernels are rebuilt inside the worker from ``suite``/``config``.
-    ``cache_dir=None`` means "resolve from the environment", which lets
-    registry datasets share the in-process ``dataset_tasks`` cache.
+    ``cache_dir`` / ``use_cache`` are the workload-cache policy of
+    :func:`~repro.bench.cache.workload_tasks` (``None`` resolves the root
+    from the environment), so in-process cells share one task tuple with
+    every session of the same spec and policy.
     """
 
     spec: SpecLike
@@ -198,37 +193,6 @@ def _suite_origin(suite: str) -> Optional[str]:
     return None
 
 
-#: In-process memo of non-registry workloads, keyed by (cache root,
-#: enabled, spec fingerprint).  Serial runs visit each dataset once per
-#: suite; reusing the same task objects keeps their lazily-computed
-#: alignment profiles, so the dynamic program runs once per task no
-#: matter how many suites share the dataset.  Pool workers each hold
-#: their own copy (results are identical either way -- cells are pure).
-_TASKS_MEMO: Dict[tuple, tuple] = {}
-
-
-def _cell_tasks(cell: BenchCell):
-    """The cell's workload, via the persistent cache.
-
-    Registry datasets with default cache settings go through
-    :func:`repro.pipeline.experiment.dataset_tasks`, which layers an
-    in-process ``lru_cache`` (with its memoised alignment profiles) on
-    top of the same on-disk cache; everything else is memoised here the
-    same way -- serial runs and benchmark fixtures then never profile a
-    task twice.
-    """
-    from repro.pipeline.experiment import dataset_tasks
-
-    registry_spec = DATASET_REGISTRY.get(cell.spec.name)
-    if cell.cache_dir is None and cell.use_cache and registry_spec == cell.spec:
-        return dataset_tasks(cell.spec.name)
-    cache = WorkloadCache(cell.cache_dir, enabled=cell.use_cache)
-    key = (str(cache.root), cell.use_cache, spec_fingerprint(cell.spec))
-    if key not in _TASKS_MEMO:
-        _TASKS_MEMO[key] = cache.tasks(cell.spec)
-    return _TASKS_MEMO[key]
-
-
 def run_cell(cell: BenchCell) -> Dict[str, dict]:
     """Execute one cell: simulate its suite over its dataset's workload.
 
@@ -239,7 +203,7 @@ def run_cell(cell: BenchCell) -> Dict[str, dict]:
     """
     from repro.api.compare import compare_suite
 
-    tasks = _cell_tasks(cell)
+    tasks = workload_tasks(cell.spec, cell.cache_dir, cell.use_cache)
     kernels = _build_cell_suite(cell)
     return compare_suite(
         tasks, kernels, device=cell.device, cpu=cell.cpu, cost=cell.cost
@@ -271,8 +235,7 @@ def _ensure_suites_shardable(cells: Sequence[BenchCell]) -> None:
     under the ``fork`` start method ``__main__`` registrations are
     inherited; but under ``spawn``/``forkserver`` a ``__main__``
     registration is unreachable and would surface as a mid-run KeyError
-    from every worker (mirrors the eager ``kernel_factory cannot be
-    sharded`` check).
+    from every worker.
     """
     if multiprocessing.get_start_method() == "fork":
         return
@@ -298,7 +261,7 @@ def run_cells(
 
     Results are returned in **input order** regardless of completion
     order.  ``workers <= 1`` runs serially in-process (no pool, easier
-    debugging, shares the ``dataset_tasks`` memo).  A worker exception
+    debugging, shares the in-process task memo).  A worker exception
     propagates to the caller unchanged.
     """
     total = len(cells)
@@ -329,9 +292,9 @@ def _merge_speedups(
 ) -> Dict[str, Dict[str, float]]:
     """Fold per-cell summaries into a ``speedup_table``-shaped mapping.
 
-    Iterates datasets in input order so row construction (and therefore
-    the float summation order inside the geometric mean) matches the
-    serial harness exactly.
+    Iterates datasets in input order, so row construction (and therefore
+    the float summation order inside the geometric mean) does not depend
+    on how the cells were sharded.
     """
     from repro.pipeline.experiment import geometric_mean
 
@@ -349,8 +312,7 @@ def _merge_speedups(
 def run_speedup_table(
     datasets: Sequence[str | SpecLike],
     *,
-    suite: Optional[str] = None,
-    kernel_factory: Optional[Callable[[], Mapping[str, GuidedKernel]]] = None,
+    suite: str,
     workers: int = 1,
     config: Optional[KernelConfig] = None,
     device: Optional[DeviceSpec] = None,
@@ -361,37 +323,11 @@ def run_speedup_table(
 ) -> Dict[str, Dict[str, float]]:
     """Per-dataset speedups over the CPU anchor, sharded over workers.
 
-    Exactly one of ``suite`` and ``kernel_factory`` must be given.  A
-    named suite shards freely (kernels are rebuilt in each worker); an
-    arbitrary ``kernel_factory`` cannot travel to worker processes, so it
-    implies serial execution (``workers`` must be 1) -- this is the
-    compatibility path :func:`repro.pipeline.experiment.speedup_table`
-    uses.
+    Returns ``kernel_name -> {dataset_name: speedup, ..., "GeoMean": g}``
+    for the named ``suite``; kernels are rebuilt in each worker, and the
+    table is bit-identical for every ``workers`` value.
     """
-    if (suite is None) == (kernel_factory is None):
-        raise ValueError("pass exactly one of suite= or kernel_factory=")
     specs = resolve_specs(datasets)
-    if kernel_factory is not None:
-        if workers > 1:
-            raise ValueError(
-                "kernel_factory cannot be sharded over processes; "
-                "use a named suite or workers=1"
-            )
-        from repro.api.compare import compare_suite
-
-        results = []
-        for spec in specs:
-            cell = BenchCell(
-                spec=spec, suite="custom", device=device, cpu=cpu, cost=cost,
-                cache_dir=cache_dir, use_cache=use_cache,
-            )
-            tasks = _cell_tasks(cell)
-            results.append(
-                compare_suite(
-                    tasks, kernel_factory(), device=device, cpu=cpu, cost=cost
-                ).to_dict()
-            )
-        return _merge_speedups(specs, results)
     origin = _suite_origin(suite)
     cells = [
         BenchCell(

@@ -20,10 +20,6 @@ Components
 ``trace``
     Work/traffic accounting records produced per task, per subwarp, per
     warp and per kernel launch.
-``memory``
-    Shared-memory buffer with capacity accounting (the LMB of the rolling
-    window lives in it) and a global-memory transaction counter with a
-    simple coalescing model.
 ``warp``
     Warp / subwarp composition and divergence bookkeeping.
 ``executor``
@@ -48,7 +44,6 @@ from repro.gpusim.trace import (
     WarpWork,
     KernelLaunchStats,
 )
-from repro.gpusim.memory import SharedMemoryBuffer, GlobalMemoryCounter
 from repro.gpusim.warp import SubwarpSlot, WarpAssignment, split_warp
 from repro.gpusim.executor import GpuExecutor, MultiGpuExecutor, ExecutionReport
 
@@ -65,8 +60,6 @@ __all__ = [
     "SubwarpWork",
     "WarpWork",
     "KernelLaunchStats",
-    "SharedMemoryBuffer",
-    "GlobalMemoryCounter",
     "SubwarpSlot",
     "WarpAssignment",
     "split_warp",

@@ -16,7 +16,7 @@ amount of structure the kernel simulations need:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List
 
 __all__ = ["WARP_SIZE", "split_warp", "SubwarpSlot", "WarpAssignment"]
 
@@ -85,36 +85,3 @@ class WarpAssignment:
     @property
     def num_tasks(self) -> int:
         return sum(sw.num_tasks for sw in self.subwarps)
-
-
-def round_robin_assignment(
-    task_order: Sequence[int], subwarp_size: int
-) -> List[WarpAssignment]:
-    """Assign tasks to warps/subwarps in the given order.
-
-    This is the baseline assignment the paper criticises: tasks go to
-    subwarps strictly in input order, so a run of long tasks lands on
-    neighbouring subwarps of the same warp.  Tasks are dealt one per
-    subwarp, filling a warp's subwarps before moving to the next warp;
-    enough warps are created for every subwarp to receive at most one
-    task (grid-stride batching is handled by the executor instead).
-
-    Parameters
-    ----------
-    task_order:
-        Task indices in the order they should be dealt.
-    subwarp_size:
-        Threads per subwarp.
-    """
-    order = list(task_order)
-    subwarps_per_warp = split_warp(subwarp_size)
-    if not order:
-        return []
-    num_warps = -(-len(order) // subwarps_per_warp)
-    warps = [WarpAssignment.empty(w, subwarp_size) for w in range(num_warps)]
-    # Deal tasks subwarp-by-subwarp in order: warp 0 subwarp 0, warp 0
-    # subwarp 1, ..., warp 1 subwarp 0, ...
-    flat_slots = [sw for warp in warps for sw in warp.subwarps]
-    for slot, task_index in zip(flat_slots, order):
-        slot.assign(task_index)
-    return warps

@@ -5,9 +5,9 @@
     does: minimizer indexing, chaining, extension-task extraction and
     guided alignment of the extension tasks.
 ``experiment``
-    Builders for the evaluation workloads (the nine named datasets, the
-    long/short mixtures), the scaled hardware pair, and the speedup
-    helpers shared by every benchmark and example.
+    The named-workload lookup (:func:`dataset_tasks`), the scaled
+    hardware pair and the geometric mean shared by every benchmark and
+    example.
 """
 
 from repro.pipeline.mapper import LongReadMapper, ReadMapping
@@ -15,7 +15,6 @@ from repro.pipeline.experiment import (
     dataset_tasks,
     all_dataset_names,
     scaled_hardware,
-    speedup_table,
 )
 
 __all__ = [
@@ -24,5 +23,4 @@ __all__ = [
     "dataset_tasks",
     "all_dataset_names",
     "scaled_hardware",
-    "speedup_table",
 ]

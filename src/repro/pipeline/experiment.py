@@ -1,41 +1,39 @@
-"""Experiment harness shared by the benchmarks and the examples.
+"""Experiment helpers shared by the benchmarks and the examples.
 
-The module provides exactly the pieces every figure reproduction needs:
+The module provides the small pieces every figure reproduction needs:
 
-* :func:`dataset_tasks` -- build (and cache) the extension-alignment
-  workload of one named dataset by running the synthetic reads through
-  the seeding/chaining pre-compute, mirroring Section 5.1;
+* :func:`dataset_tasks` -- the extension-alignment workload of one named
+  dataset or registered workload, served by the one in-process task memo
+  (:func:`repro.bench.cache.workload_tasks`);
 * :func:`scaled_hardware` -- the device / CPU pair used for timing.  The
   benchmark workloads are a few hundred tasks instead of the paper's
   50 000-read datasets, so both machines are scaled down by the same
   factor; ratios between kernels and against the CPU anchor are
   preserved (see DESIGN.md);
-* :func:`speedup_table` -- run a kernel suite over a set of datasets and
-  normalise to the CPU baseline.
+* :func:`geometric_mean` -- the paper's aggregation of speedups.
 
-Kernel line-ups, workload scoring and suite comparisons live behind the
+Speedup tables come from the sharded runner
+(:func:`repro.bench.runner.run_speedup_table` / ``run_figure``); kernel
+line-ups, workload scoring and suite comparisons live behind the
 :mod:`repro.api` registries and :class:`repro.api.Session` (see
 DESIGN.md, "The public API layer").
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Callable, Dict, List, Mapping, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.align.types import AlignmentTask
 from repro.baselines.cpu_model import CpuSpec, EPYC_16C_SSE4
-from repro.gpusim.device import CostModel, DeviceSpec, RTX_A6000
-from repro.io.datasets import DATASET_REGISTRY, DatasetSpec
-from repro.kernels import GuidedKernel
+from repro.gpusim.device import DeviceSpec, RTX_A6000
+from repro.io.datasets import DATASET_REGISTRY
 
 __all__ = [
     "all_dataset_names",
     "dataset_tasks",
     "scaled_hardware",
-    "speedup_table",
     "geometric_mean",
 ]
 
@@ -54,25 +52,26 @@ def all_dataset_names() -> List[str]:
 # ----------------------------------------------------------------------
 # workload construction
 # ----------------------------------------------------------------------
-@lru_cache(maxsize=None)
 def dataset_tasks(name: str) -> tuple[AlignmentTask, ...]:
-    """Extension tasks of one named dataset.
+    """Tasks of one named dataset or registered workload.
 
-    Two cache layers stack here.  The seeding/chaining pre-compute is
-    served by the persistent :class:`repro.bench.cache.WorkloadCache`
+    Two cache layers stack here, both behind
+    :func:`repro.bench.cache.workload_tasks`.  The build is served by the
+    persistent :class:`repro.bench.cache.WorkloadCache`
     (``$REPRO_CACHE_DIR`` / ``~/.cache/repro``), shared across processes
-    and runs; on top of it, the per-process ``lru_cache`` retains the
-    materialised task objects together with each task's alignment
-    profile (computed by the first consumer's batched
+    and runs; on top of it, the in-process memo retains the materialised
+    task objects together with each task's alignment profile (computed
+    by the first consumer's batched
     :func:`~repro.align.vector.task_profiles` sweep), so the dynamic
-    program runs once per task no matter how many kernels and figures
-    reuse the dataset within one process.
+    program runs once per task no matter how many kernels, figures and
+    sessions reuse the workload within one process.
     """
-    # Imported lazily: repro.bench.runner imports this module at load time.
-    from repro.bench.cache import WorkloadCache
+    # Imported lazily: repro.bench and repro.workloads import repro.api,
+    # which imports this module.
+    from repro.bench.cache import workload_tasks
+    from repro.workloads import resolve_spec
 
-    spec: DatasetSpec = DATASET_REGISTRY[name]
-    return WorkloadCache().tasks(spec)
+    return workload_tasks(resolve_spec(name))
 
 
 # ----------------------------------------------------------------------
@@ -101,35 +100,3 @@ def geometric_mean(values: Sequence[float]) -> float:
     if arr.size == 0:
         return 0.0
     return float(np.exp(np.log(arr).mean()))
-
-
-def speedup_table(
-    dataset_names: Sequence[str],
-    kernel_factory: Callable[[], Mapping[str, GuidedKernel]],
-    *,
-    device: DeviceSpec | None = None,
-    cpu: CpuSpec | None = None,
-    cost: CostModel | None = None,
-) -> Dict[str, Dict[str, float]]:
-    """Per-dataset speedups over the CPU baseline plus the geometric mean.
-
-    ``kernel_factory`` is called once per dataset so kernels do not carry
-    state across datasets.  The returned mapping is
-    ``kernel_name -> {dataset_name: speedup, ..., "GeoMean": g}``.
-
-    This is the serial compatibility wrapper around
-    :func:`repro.bench.runner.run_speedup_table`; the factory keeps the
-    run in-process.  To shard over worker processes, call the runner
-    directly with a named suite (``suite="mm2"`` etc.) and ``workers=N``
-    -- the output is bit-identical.
-    """
-    # Imported lazily: repro.bench.runner imports this module at load time.
-    from repro.bench.runner import run_speedup_table
-
-    return run_speedup_table(
-        list(dataset_names),
-        kernel_factory=kernel_factory,
-        device=device,
-        cpu=cpu,
-        cost=cost,
-    )

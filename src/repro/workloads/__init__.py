@@ -17,10 +17,11 @@ string-keyed registry of :class:`WorkloadSpec` objects that unifies
   engine).
 
 A registered name is accepted wherever a dataset name is:
-``Session(dataset=...)``, ``LoadGenerator.from_dataset(...)``, and the
-bench CLI (``python -m repro.bench --figure workloads`` runs every
-registered workload under the AGAThA kernel and writes the gateable
-``BENCH_workloads.json``).  Workloads build through the same persistent
+``Session(dataset=...)``, ``LoadGenerator.from_dataset(...)``,
+``python -m repro.serve --dataset`` and the bench CLI (``python -m
+repro.bench --figure workloads`` runs every registered workload under
+the AGAThA kernel and writes the gateable ``BENCH_workloads.json``).
+Workloads build through the same persistent
 :class:`~repro.bench.cache.WorkloadCache` as datasets.  The contract --
 registration, fingerprinting, how a workload reaches Session, bench and
 serve -- is documented in docs/WORKLOADS.md.
@@ -68,8 +69,10 @@ def _register_builtins() -> None:
     """Register the built-in workloads (idempotent under reload)."""
     if "adv-heavy-tail" in WORKLOADS:  # pragma: no cover - reload guard
         return
-    # Small band/Z keep the pure-Python profiling of the bench figure
-    # fast; lengths stay modest for the same reason.
+    # Small band/Z and modest lengths: benchmarks/baseline.json pins the
+    # `workloads` records these specs produce.  Profiling speed is no
+    # longer the reason (every profile comes from one batched vector
+    # sweep); a paper-scale variant is ROADMAP item 3's stretch goal.
     adversarial_scoring = preset("map-ont", band_width=32, zdrop=120)
     for distribution, seed in (
         ("heavy-tail", 101),

@@ -11,10 +11,12 @@ inherited -- two optional hooks layered on top of a frozen dataclass:
 
 ``build_tasks() -> Sequence[AlignmentTask]``
     The expensive materialisation.  :func:`repro.bench.cache.build_workload`
-    dispatches to it, so registered workloads flow through the same
-    persistent :class:`~repro.bench.cache.WorkloadCache` (fingerprinted
-    file names, atomic writes, LRU eviction) as the seeded
-    :class:`~repro.io.datasets.DatasetSpec` datasets.
+    calls it for every spec -- the seeded
+    :class:`~repro.io.datasets.DatasetSpec` datasets implement it too --
+    so every workload flows through the same persistent
+    :class:`~repro.bench.cache.WorkloadCache` (fingerprinted file names,
+    atomic writes, LRU eviction) and the same in-process memo
+    (:func:`repro.bench.cache.workload_tasks`).
 
 ``cache_fingerprint_extra() -> mapping | None``
     Extra state folded into the cache fingerprint at *lookup* time.
@@ -25,10 +27,13 @@ inherited -- two optional hooks layered on top of a frozen dataclass:
 
 Registering a spec under its name makes it resolvable everywhere a
 dataset name is accepted: ``Session(dataset="adv-heavy-tail")``,
-``python -m repro.bench --figure workloads``, and
-``LoadGenerator.from_dataset("adv-heavy-tail")`` all go through
-:func:`resolve_spec`, which consults the dataset registry first and this
-registry second (docs/WORKLOADS.md).
+``python -m repro.bench --figure workloads``,
+``python -m repro.serve --dataset adv-heavy-tail`` and
+``dataset_tasks("adv-heavy-tail")`` all go through :func:`resolve_spec`,
+the one function that turns a name into a spec.  The nine seeded
+datasets keep their own list (:data:`~repro.io.datasets.DATASET_REGISTRY`,
+in the paper's order), and a workload cannot take one of their names
+(docs/WORKLOADS.md).
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from typing import Tuple, Union
 
 from repro.align.scoring import ScoringScheme
 from repro.align.types import AlignmentTask
-from repro.api.registry import Registry
+from repro.api.registry import Registry, RegistryError
 from repro.io.datasets import DATASET_REGISTRY, DatasetSpec
 
 __all__ = [
@@ -101,7 +106,10 @@ def register_workload(spec: WorkloadSpec, *, replace: bool = False) -> WorkloadS
 
     The spec must provide the two structural hooks (``build_tasks`` and
     ``cache_fingerprint_extra``) -- subclassing :class:`WorkloadSpec` is
-    the easy way, but any frozen dataclass with the hooks works.
+    the easy way, but any frozen dataclass with the hooks works.  The
+    seeded datasets' names are reserved, even with ``replace=True``:
+    :func:`resolve_spec` would keep returning the dataset, so such a
+    registration could never be reached.
     """
     for hook in ("build_tasks", "cache_fingerprint_extra"):
         if not callable(getattr(spec, hook, None)):
@@ -109,6 +117,11 @@ def register_workload(spec: WorkloadSpec, *, replace: bool = False) -> WorkloadS
                 f"workload spec {spec!r} has no callable {hook}(); "
                 "subclass repro.workloads.WorkloadSpec or add the hook"
             )
+    if spec.name in DATASET_REGISTRY:
+        raise RegistryError(
+            f"workload name {spec.name!r} is taken by a seeded dataset; "
+            f"datasets: {list(DATASET_REGISTRY)}"
+        )
     WORKLOADS.register(spec.name, spec, replace=replace)
     return spec
 
@@ -126,10 +139,11 @@ def workload_names() -> Tuple[str, ...]:
 def resolve_spec(name: str) -> Union[DatasetSpec, WorkloadSpec]:
     """Resolve a dataset *or* workload name to its spec.
 
-    The seeded dataset registry wins on a name collision (it existed
-    first and its names are pinned in committed baselines); everything
-    else falls through to the workload registry.  The error lists both
-    name spaces, so a typo shows every valid choice.
+    The one name lookup: ``Session(dataset=...)``, the bench runner,
+    ``dataset_tasks`` and ``python -m repro.serve --dataset`` all call
+    it.  The two name spaces cannot collide (:func:`register_workload`
+    reserves the dataset names), and the error lists both, so a typo
+    shows every valid choice.
     """
     if name in DATASET_REGISTRY:
         return DATASET_REGISTRY[name]

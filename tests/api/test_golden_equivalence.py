@@ -4,16 +4,20 @@ Acceptance property of the API layer: on the Figure-8 workloads,
 ``Session.align/simulate/compare/run_figure`` must produce bit-identical
 scores, launch stats and BENCH records versus calling the shared
 implementations directly (``align_tasks``, ``GuidedKernel.simulate``,
-``compare_suite``, ``run_figure``, ``speedup_table``), and the bench
+``compare_suite``, ``run_figure``, ``run_speedup_table``), and the bench
 runner must build its cells from the shared suite registry.
 """
 
 import pytest
 
 from repro.api import Session, align_tasks, build_suite, compare_suite, get_suite
-from repro.bench.runner import build_suite as runner_build_suite, run_figure
+from repro.bench.runner import (
+    build_suite as runner_build_suite,
+    run_figure,
+    run_speedup_table,
+)
 from repro.kernels import AgathaKernel
-from repro.pipeline.experiment import dataset_tasks, scaled_hardware, speedup_table
+from repro.pipeline.experiment import dataset_tasks, scaled_hardware
 
 #: One of the paper's nine Figure-8 datasets (also used by the examples;
 #: its workload is shared in-process with the figure benchmarks).
@@ -30,20 +34,26 @@ def session():
     return Session(dataset=DATASET)
 
 
+@pytest.fixture(scope="module")
+def vector_reference(figure8_tasks):
+    # One reference for both engines: tests/align/test_vector.py pins the
+    # vector engine to the scalar oracle, so the scalar engine runs once.
+    return align_tasks(figure8_tasks, engine="vector")
+
+
 class TestAlignEquivalence:
     @pytest.mark.parametrize("batched", [True, False])
-    def test_scores_bit_identical(self, session, figure8_tasks, batched):
+    def test_scores_bit_identical(self, vector_reference, batched):
         engine = "vector" if batched else "scalar"
-        legacy = align_tasks(figure8_tasks, engine=engine)
         outcome = Session(dataset=DATASET, engine=engine).align()
-        assert outcome.scores == [r.score for r in legacy]
+        assert outcome.scores == [r.score for r in vector_reference]
         assert [r.cells_computed for r in outcome] == [
-            r.cells_computed for r in legacy
+            r.cells_computed for r in vector_reference
         ]
         assert [(r.max_i, r.max_j, r.terminated, r.antidiagonals_processed)
                 for r in outcome] == [
             (r.max_i, r.max_j, r.terminated, r.antidiagonals_processed)
-            for r in legacy
+            for r in vector_reference
         ]
 
     def test_session_workload_is_dataset_tasks(self, session, figure8_tasks):
@@ -83,7 +93,7 @@ class TestRunFigureEquivalence:
 
     def test_record_speedups_match_legacy_speedup_table(self, session):
         record = session.run_figure("quick", suites=("mm2",))
-        table = speedup_table([DATASET], lambda: build_suite("mm2"))
+        table = run_speedup_table([DATASET], suite="mm2")
         assert record.speedup_table("mm2") == table
 
 

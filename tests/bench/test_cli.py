@@ -1,6 +1,6 @@
 """The ``python -m repro.bench`` command line, including the acceptance
 property: a sharded CLI run's record is bit-identical to the serial
-``speedup_table`` output for the same datasets and kernels."""
+``run_speedup_table`` output for the same datasets and suite."""
 
 import json
 import os
@@ -12,7 +12,7 @@ import pytest
 
 from repro.bench.cli import main
 from repro.bench.records import BenchRecord
-from repro.bench.runner import run_figure
+from repro.bench.runner import run_figure, run_speedup_table
 
 from tiny_workloads import make_spec
 
@@ -22,14 +22,11 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 class TestRunMode:
     def test_sharded_cli_record_matches_serial_speedup_table(self, tmp_path, capsys):
         """`python -m repro.bench --figure quick --workers 2` on a registry
-        dataset must reproduce the serial harness bit for bit."""
-        from repro.api import build_suite
-        from repro.pipeline.experiment import speedup_table
-
+        dataset must reproduce a serial run bit for bit."""
         name = "ONT-HG002"
-        # Serial reference first: warms the in-process lru cache and the
+        # Serial reference first: warms the in-process task memo and the
         # persistent workload cache the CLI's pool workers will read.
-        expected = speedup_table([name], lambda: build_suite("mm2"))
+        expected = run_speedup_table([name], suite="mm2")
 
         out = tmp_path / "BENCH_quick.json"
         code = main(

@@ -61,19 +61,6 @@ class TestDeterminism:
         )
         assert serial == parallel  # exact float equality, GeoMean included
 
-    def test_factory_path_equals_suite_path(self, tiny_specs, tmp_path):
-        from repro.api import build_suite
-
-        via_suite = run_speedup_table(
-            tiny_specs, suite="diff", workers=1, **_cache_args(tmp_path)
-        )
-        via_factory = run_speedup_table(
-            tiny_specs,
-            kernel_factory=lambda: build_suite("diff"),
-            **_cache_args(tmp_path),
-        )
-        assert via_suite == via_factory
-
     def test_repeated_parallel_runs_identical(self, tiny_specs, tmp_path):
         first = run_speedup_table(
             tiny_specs, suite="ablation", workers=2, **_cache_args(tmp_path)
@@ -85,16 +72,6 @@ class TestDeterminism:
 
 
 class TestValidation:
-    def test_exactly_one_of_suite_and_factory(self, tiny_specs):
-        with pytest.raises(ValueError, match="exactly one"):
-            run_speedup_table(tiny_specs)
-        with pytest.raises(ValueError, match="exactly one"):
-            run_speedup_table(tiny_specs, suite="mm2", kernel_factory=dict)
-
-    def test_factory_cannot_shard(self, tiny_specs):
-        with pytest.raises(ValueError, match="cannot be sharded"):
-            run_speedup_table(tiny_specs, kernel_factory=dict, workers=2)
-
     def test_unknown_figure(self):
         with pytest.raises(KeyError, match="unknown figure"):
             run_figure("fig99")

@@ -1,64 +1,9 @@
-"""Tests for the memory models and warp/subwarp structures."""
+"""Tests for the memory-traffic records and warp/subwarp structures."""
 
 import pytest
 
-from repro.gpusim.memory import (
-    GlobalMemoryCounter,
-    SharedMemoryAllocationError,
-    SharedMemoryBuffer,
-)
 from repro.gpusim.trace import MemoryTraffic
-from repro.gpusim.warp import WARP_SIZE, WarpAssignment, round_robin_assignment, split_warp
-
-
-class TestSharedMemory:
-    def test_allocate_and_free(self):
-        buf = SharedMemoryBuffer(capacity_bytes=1000)
-        buf.allocate("lmb", 800)
-        assert buf.free_bytes == 200
-        buf.free("lmb")
-        assert buf.free_bytes == 1000
-
-    def test_over_allocation_raises(self):
-        buf = SharedMemoryBuffer(capacity_bytes=100)
-        with pytest.raises(SharedMemoryAllocationError):
-            buf.allocate("big", 200)
-
-    def test_duplicate_name_rejected(self):
-        buf = SharedMemoryBuffer(capacity_bytes=100)
-        buf.allocate("a", 10)
-        with pytest.raises(ValueError):
-            buf.allocate("a", 10)
-
-    def test_fits(self):
-        buf = SharedMemoryBuffer(capacity_bytes=100)
-        assert buf.fits(100)
-        buf.allocate("a", 60)
-        assert not buf.fits(50)
-
-
-class TestGlobalMemoryCounter:
-    def test_coalesced_reads_merge(self):
-        counter = GlobalMemoryCounter()
-        tx = counter.read(8, coalesced=True)
-        assert tx == 1
-        assert counter.traffic.global_reads == 1
-
-    def test_uncoalesced_reads_do_not_merge(self):
-        counter = GlobalMemoryCounter()
-        assert counter.read(8, coalesced=False) == 8
-
-    def test_write_and_events(self):
-        counter = GlobalMemoryCounter()
-        counter.write(32, coalesced=True, count=2.0)
-        counter.shared(5)
-        counter.reduction(3)
-        counter.termination_check(7)
-        snap = counter.snapshot()
-        assert snap.global_writes == pytest.approx(8.0)
-        assert snap.shared_accesses == 5
-        assert snap.reductions == 3
-        assert snap.termination_checks == 7
+from repro.gpusim.warp import WARP_SIZE, WarpAssignment, split_warp
 
 
 class TestMemoryTraffic:
@@ -96,17 +41,6 @@ class TestWarpStructures:
         warp = WarpAssignment.empty(0, 8)
         assert warp.num_subwarps == 4
         assert warp.num_tasks == 0
-
-    def test_round_robin(self):
-        warps = round_robin_assignment(list(range(9)), 8)
-        assert len(warps) == 3
-        assert warps[0].subwarps[0].task_indices == [0]
-        assert warps[2].subwarps[0].task_indices == [8]
-        all_tasks = sorted(i for w in warps for i in w.task_indices)
-        assert all_tasks == list(range(9))
-
-    def test_round_robin_empty(self):
-        assert round_robin_assignment([], 8) == []
 
     def test_warp_size_constant(self):
         assert WARP_SIZE == 32

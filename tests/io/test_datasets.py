@@ -96,12 +96,12 @@ class TestLongShortMixture:
         assert max(long_positions) - min(long_positions) > 20
 
 
-class TestGetDatasetSpec:
+class TestResolveSpec:
     def test_unknown_name_lists_available_names(self):
-        from repro.io.datasets import get_dataset_spec
+        from repro.workloads import resolve_spec
 
         with pytest.raises(KeyError) as err:
-            get_dataset_spec("ONT-HG02")
+            resolve_spec("ONT-HG02")
         message = str(err.value)
         assert "'ONT-HG02'" in message
         for name in DATASET_REGISTRY:

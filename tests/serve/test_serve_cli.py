@@ -90,6 +90,23 @@ class TestServeCli:
             )
             assert code == 0 and out.exists()
 
+    def test_registered_workload_is_served_by_name(self, tmp_path):
+        out = tmp_path / "rec.json"
+        code = main(
+            [
+                "--dataset", "adv-heavy-tail", "--requests", "8",
+                "--timing", "modeled", "--output", str(out), "--quiet",
+            ]
+        )
+        assert code == 0
+        assert "adv-heavy-tail" in BenchRecord.load(out).datasets
+
+    def test_unknown_dataset_lists_both_namespaces(self, capsys):
+        assert main(["--dataset", "nope", "--requests", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "'nope'" in err
+        assert "datasets:" in err and "workloads:" in err
+
     def test_bad_rate_is_a_clean_error(self, capsys):
         assert main(["--rate", "0", "--requests", "4"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.align.scoring import preset
+from repro.api import RegistryError
 from repro.io.datasets import DATASET_REGISTRY
 from repro.workloads import (
     WORKLOADS,
@@ -50,6 +51,27 @@ class TestRegistry:
         with pytest.raises(Exception):
             register_workload(spec)
         assert register_workload(spec, replace=True) is spec
+
+    def test_dataset_names_are_reserved(self):
+        """A workload named like a seeded dataset could never be resolved
+        (the dataset would shadow it), so registration refuses it."""
+        spec = AdversarialWorkloadSpec(
+            name="ONT-HG002",
+            scoring=preset("map-ont", band_width=16),
+            distribution="uniform",
+            num_tasks=3,
+            seed=7,
+            min_length=32,
+            max_length=64,
+        )
+        try:
+            for replace in (False, True):
+                with pytest.raises(RegistryError, match="seeded dataset"):
+                    register_workload(spec, replace=replace)
+        finally:
+            if spec.name in WORKLOADS:
+                WORKLOADS.unregister(spec.name)
+        assert resolve_spec("ONT-HG002") is DATASET_REGISTRY["ONT-HG002"]
 
     def test_custom_registration_and_removal(self):
         spec = AdversarialWorkloadSpec(
@@ -117,6 +139,22 @@ class TestIntegration:
         reference = scores.pop("scalar")
         for engine, got in scores.items():
             assert got == reference, f"{engine} diverged from scalar"
+
+    def test_sessions_and_dataset_tasks_share_one_tuple(self):
+        from repro.api import Session
+        from repro.pipeline.experiment import dataset_tasks
+
+        first = Session(dataset="adv-bimodal").workload()
+        assert Session(dataset="adv-bimodal").workload() is first
+        assert dataset_tasks("adv-bimodal") is first
+
+    def test_no_cache_env_holds_for_workloads(self, tmp_path, monkeypatch):
+        from repro.api import Session
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        assert len(Session(dataset="adv-heavy-tail").workload()) == 18
+        assert list(tmp_path.rglob("*.pkl")) == []
 
     def test_loadgen_accepts_workload_name(self):
         from repro.serve.loadgen import LoadGenerator
