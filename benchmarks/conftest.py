@@ -1,9 +1,8 @@
 """Pytest fixtures for the benchmark harness.
 
-Datasets are built once per session -- served from the persistent
-workload cache (``repro.bench.cache``) and memoised per process -- and
-shared by every figure benchmark; hardware is the scaled device/CPU pair
-described in DESIGN.md.
+Datasets are built once per session -- by the in-process workload memo
+(``repro.bench.cache``) -- and shared by every figure benchmark;
+hardware is the scaled device/CPU pair described in DESIGN.md.
 
 ``repro`` comes from the installed package, ``PYTHONPATH`` or the
 repository-root ``conftest.py``; ``bench_utils`` is importable because

@@ -4,13 +4,8 @@ Ensures ``src/`` is importable even when the package has not been
 installed (the evaluation environment has no network access, so
 ``pip install -e .`` may be unavailable; a plain ``pytest`` checkout run
 must still work).
-
-Also pins the persistent workload cache (``repro.bench.cache``) inside
-the repository for test runs unless the caller chose a location, so
-running the suite never writes outside the checkout.
 """
 
-import os
 import sys
 from pathlib import Path
 
@@ -18,5 +13,3 @@ _ROOT = Path(__file__).resolve().parent
 _SRC = _ROOT / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
-
-os.environ.setdefault("REPRO_CACHE_DIR", str(_ROOT / ".cache" / "repro"))

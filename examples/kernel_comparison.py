@@ -2,16 +2,16 @@
 """Compare the GPU kernel designs on one evaluation dataset.
 
 Configures a dataset :class:`repro.api.Session` for ``ONT-HG002``
-(reads -> seeding/chaining -> extension tasks; served from the
-persistent workload cache on repeat runs), verifies that every exact
+(reads -> seeding/chaining -> extension tasks, built once and shared
+by every step below), verifies that every exact
 kernel reproduces the reference scores, then reproduces the MM2-Target
 and Diff-Target suites and the AGAThA ablation ladder through the
 sharded experiment runner -- the same machine-readable record
 ``python -m repro.bench`` writes to ``BENCH_<figure>.json``.
 
-Run:  python examples/kernel_comparison.py   (~3 s on a 2-vCPU host, with
-a cold or a warm workload cache: every task's profile comes from one
-batched vector-engine sweep, shared by the CPU model and every kernel)
+Run:  python examples/kernel_comparison.py   (~3 s on a 2-vCPU host: every
+task's profile comes from one batched vector-engine sweep, shared by the
+CPU model and every kernel)
 """
 
 from repro.analysis.report import format_table

@@ -42,7 +42,7 @@ Subpackages
     length distributions, and protein-style scoring workloads, all
     resolvable by name wherever a dataset name is accepted.
 ``repro.bench``
-    Sharded benchmark runner, persistent workload cache, BENCH records.
+    Sharded benchmark runner, in-process workload memo, BENCH records.
 ``repro.analysis``
     Workload-distribution analysis and plain-text report rendering.
 """

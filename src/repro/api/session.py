@@ -3,9 +3,8 @@
 A session binds together everything the scattered entry points used to
 take as per-call arguments -- the workload source (a registry dataset or
 registered workload name, an explicit spec, raw tasks, or a reference
-for read mapping), the alignment engine, the kernel suite, the hardware
-pair and the cache policy -- and exposes the project's workflows as
-methods:
+for read mapping), the alignment engine, the kernel suite and the
+hardware pair -- and exposes the project's workflows as methods:
 
 =================  ====================================================
 ``align()``        score the workload with the configured engine
@@ -78,7 +77,8 @@ class Session:
         A registry dataset name (``"ONT-HG002"``, ...), a registered
         workload name (``"adv-heavy-tail"``, ``"fasta-sample"``, ...;
         see :mod:`repro.workloads`), or an explicit spec; the workload
-        is its task list, served through the persistent workload cache.
+        is its task list, built once per process by the workload memo
+        (:func:`repro.bench.cache.workload_tasks`).
     tasks:
         Raw alignment tasks, for callers that build their own workload.
     reference, scoring:
@@ -101,10 +101,6 @@ class Session:
         Base :class:`KernelConfig` for kernels built by this session.
     hardware_scale, device, cpu, cost:
         Hardware overrides; by default the scaled pair of DESIGN.md.
-    cache_dir, use_cache:
-        Workload-cache policy for dataset sessions
-        (:func:`repro.bench.cache.workload_tasks`): ``use_cache=True``
-        leaves persistence to ``$REPRO_NO_CACHE``, ``False`` turns it off.
     mapper_options:
         Extra keyword arguments for the underlying
         :class:`~repro.pipeline.mapper.LongReadMapper` (``k``, ``w``,
@@ -154,8 +150,6 @@ class Session:
         device: Optional[DeviceSpec] = None,
         cpu: Optional[CpuSpec] = None,
         cost: Optional[CostModel] = None,
-        cache_dir: Optional[str] = None,
-        use_cache: bool = True,
         mapper_options: Optional[Mapping[str, Any]] = None,
     ) -> None:
         sources = [s is not None for s in (dataset, tasks, reference)]
@@ -188,8 +182,6 @@ class Session:
         self._device = device
         self._cpu = cpu
         self.cost = cost
-        self.cache_dir = cache_dir
-        self.use_cache = use_cache
         self.mapper_options = dict(mapper_options or {})
         self._workload: Optional[Tuple[AlignmentTask, ...]] = None
         self._mapper: Optional["LongReadMapper"] = None
@@ -224,9 +216,7 @@ class Session:
             elif self._spec is not None:
                 from repro.bench.cache import workload_tasks
 
-                self._workload = workload_tasks(
-                    self._spec, self.cache_dir, self.use_cache
-                )
+                self._workload = workload_tasks(self._spec)
             else:
                 raise ValueError(
                     "reference= sessions have no fixed workload; "
@@ -424,8 +414,7 @@ class Session:
         datasets, so a tasks=/reference= session must pass ``datasets=``
         explicitly -- silently benchmarking the figure plan's registry
         datasets instead of the session's own workload would be
-        misleading.  Hardware, kernel config and cache policy come from
-        the session.
+        misleading.  Hardware and kernel config come from the session.
         """
         from repro.bench.runner import run_figure
 
@@ -447,8 +436,6 @@ class Session:
             device=device,
             cpu=cpu,
             cost=self.cost,
-            cache_dir=self.cache_dir,
-            use_cache=self.use_cache,
             progress=progress,
         )
 

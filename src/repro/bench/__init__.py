@@ -1,10 +1,10 @@
-"""Sharded benchmark runner, persistent workload cache and bench records.
+"""Sharded benchmark runner, in-process workload memo and bench records.
 
 The ``repro.bench`` subsystem turns figure reproductions into sharded,
-cacheable, machine-readable runs:
+machine-readable runs:
 
-* :mod:`repro.bench.cache` -- persistent on-disk cache of seeded/chained
-  alignment workloads keyed by dataset-spec fingerprint;
+* :mod:`repro.bench.cache` -- the in-process memo that builds each
+  alignment workload once per process, keyed by spec fingerprint;
 * :mod:`repro.bench.runner` -- fans (dataset x suite) cells over a
   process pool (bit-identical to the serial harness);
 * :mod:`repro.bench.records` -- versioned ``BENCH_<figure>.json`` records;
@@ -12,7 +12,7 @@ cacheable, machine-readable runs:
 * :mod:`repro.bench.cli` -- the ``python -m repro.bench`` front end.
 """
 
-from repro.bench.cache import WorkloadCache, build_workload, spec_fingerprint
+from repro.bench.cache import spec_fingerprint
 from repro.bench.compare import ComparisonReport, compare_records, format_report
 from repro.bench.records import (
     BenchRecord,
@@ -30,8 +30,6 @@ from repro.bench.runner import (
 )
 
 __all__ = [
-    "WorkloadCache",
-    "build_workload",
     "spec_fingerprint",
     "ComparisonReport",
     "compare_records",

@@ -35,7 +35,7 @@ __all__ = ["main"]
 def _run_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Sharded figure reproduction with persistent workload caching.",
+        description="Sharded figure reproduction into BENCH_<figure>.json records.",
         # No prefix abbreviations: --plugins is consumed by a pre-scan that
         # matches the literal flag, so an abbreviated form must be an error
         # rather than a silently unimported plugin.
@@ -79,27 +79,6 @@ def _run_parser() -> argparse.ArgumentParser:
         "--output",
         metavar="PATH",
         help="record file to write (default: BENCH_<figure>.json)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="workload cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the persistent workload cache (rebuild in memory)",
-    )
-    parser.add_argument(
-        "--cache-info",
-        action="store_true",
-        help="print workload-cache statistics (location, entries, size cap) "
-        "and exit without running a figure",
-    )
-    parser.add_argument(
-        "--cache-clear",
-        action="store_true",
-        help="remove every cached workload and exit without running a figure",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress progress and table output"
@@ -164,33 +143,12 @@ def _extract_plugins(argv: Sequence[str]) -> Tuple[List[str], List[str]]:
     return remaining, modules
 
 
-def _cache_admin(args) -> int:
-    """Handle ``--cache-clear`` / ``--cache-info`` (no figure is run)."""
-    from repro.bench.cache import WorkloadCache
-
-    cache = WorkloadCache(args.cache_dir)
-    if args.cache_clear:
-        removed = cache.clear()
-        print(f"removed {removed} cached workload(s) from {cache.root}")
-    if args.cache_info:
-        info = cache.info()
-        cap = "unbounded" if info["max_bytes"] is None else f"{info['max_bytes']} bytes"
-        print(f"cache root : {info['root']}")
-        print(f"enabled    : {info['enabled']}")
-        print(f"entries    : {info['entries']}")
-        print(f"total size : {info['total_bytes']} bytes")
-        print(f"size cap   : {cap} (REPRO_CACHE_MAX_BYTES)")
-    return 0
-
-
 def _run_main(argv: Sequence[str]) -> int:
     argv, plugins = _extract_plugins(argv)
     for module in plugins:
         import_module(module)
     parser = _run_parser()
     args = parser.parse_args(argv)
-    if args.cache_info or args.cache_clear:
-        return _cache_admin(args)
 
     def progress(done: int, total: int, cell: BenchCell) -> None:
         print(
@@ -204,8 +162,6 @@ def _run_main(argv: Sequence[str]) -> int:
         workers=args.workers,
         datasets=args.datasets,
         suites=tuple(args.suites) if args.suites else None,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
         progress=None if args.quiet else progress,
     )
     output = args.output or record.default_filename

@@ -5,11 +5,10 @@ cell simulates one kernel suite over one dataset's workload, and no cell
 depends on another.  The runner materialises that structure explicitly:
 
 * a :class:`BenchCell` is a picklable work unit (dataset spec, suite
-  name, kernel/launch configuration, hardware pair, cache location);
+  name, kernel/launch configuration, hardware pair);
 * :func:`run_cell` executes one cell -- taking the workload from
-  :func:`~repro.bench.cache.workload_tasks`, whose persistent cache lets
-  workers skip the seeding/chaining pre-compute -- and returns plain
-  summaries;
+  :func:`~repro.bench.cache.workload_tasks`, the in-process memo that
+  builds each workload once per process -- and returns plain summaries;
 * :func:`run_cells` maps cells over a ``ProcessPoolExecutor`` (or runs
   them serially for ``workers <= 1``) and returns results **in input
   order**, so downstream aggregation is independent of completion order;
@@ -33,7 +32,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.suites import ABLATION_LADDER, build_suite as _registry_build_suite, suite_names
 from repro.baselines.cpu_model import CpuSpec
-from repro.bench.cache import SpecLike, WorkloadCache, workload_tasks
+from repro.bench.cache import SpecLike, workload_tasks
 from repro.bench.records import BenchRecord, CellRecord, SuiteRecord, environment_metadata
 from repro.gpusim.device import CostModel, DeviceSpec
 from repro.io.datasets import DATASET_REGISTRY
@@ -41,7 +40,6 @@ from repro.kernels import GuidedKernel, KernelConfig
 
 __all__ = [
     "ABLATION_LADDER",
-    "SUITES",
     "FIGURES",
     "FigurePlan",
     "BenchCell",
@@ -52,18 +50,6 @@ __all__ = [
     "run_speedup_table",
     "run_figure",
 ]
-
-
-def __getattr__(name: str):
-    # ``SUITES`` used to be a hardcoded tuple here (a duplicate of the
-    # suite registry).  Attribute access
-    # (``repro.bench.runner.SUITES``) now reads the shared suite registry
-    # on every lookup; note that ``from repro.bench.runner import SUITES``
-    # binds a one-time snapshot -- callers that need a live view should
-    # use :func:`repro.api.suite_names`.
-    if name == "SUITES":
-        return suite_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 #: The one-per-technology subset used by quick runs (mirrors
@@ -164,10 +150,9 @@ class BenchCell:
 
     Everything in a cell is picklable, so cells travel to pool workers
     as-is; kernels are rebuilt inside the worker from ``suite``/``config``.
-    ``cache_dir`` / ``use_cache`` are the workload-cache policy of
-    :func:`~repro.bench.cache.workload_tasks` (``None`` resolves the root
-    from the environment), so in-process cells share one task tuple with
-    every session of the same spec and policy.
+    The workload comes from :func:`~repro.bench.cache.workload_tasks`, so
+    in-process cells share one task tuple with every session of the same
+    spec.
     """
 
     spec: SpecLike
@@ -176,8 +161,6 @@ class BenchCell:
     device: Optional[DeviceSpec] = None
     cpu: Optional[CpuSpec] = None
     cost: Optional[CostModel] = None
-    cache_dir: Optional[str] = None
-    use_cache: bool = True
     #: Module that registered ``suite`` (from the suite registry).  A
     #: spawn-started worker that does not know the suite imports this
     #: module once and retries, so plugin-registered suites shard too.
@@ -203,7 +186,7 @@ def run_cell(cell: BenchCell) -> Dict[str, dict]:
     """
     from repro.api.compare import compare_suite
 
-    tasks = workload_tasks(cell.spec, cell.cache_dir, cell.use_cache)
+    tasks = workload_tasks(cell.spec)
     kernels = _build_cell_suite(cell)
     return compare_suite(
         tasks, kernels, device=cell.device, cpu=cell.cpu, cost=cell.cost
@@ -318,8 +301,6 @@ def run_speedup_table(
     device: Optional[DeviceSpec] = None,
     cpu: Optional[CpuSpec] = None,
     cost: Optional[CostModel] = None,
-    cache_dir: Optional[str] = None,
-    use_cache: bool = True,
 ) -> Dict[str, Dict[str, float]]:
     """Per-dataset speedups over the CPU anchor, sharded over workers.
 
@@ -332,8 +313,7 @@ def run_speedup_table(
     cells = [
         BenchCell(
             spec=spec, suite=suite, config=config, device=device, cpu=cpu,
-            cost=cost, cache_dir=cache_dir, use_cache=use_cache,
-            suite_origin=origin,
+            cost=cost, suite_origin=origin,
         )
         for spec in specs
     ]
@@ -376,8 +356,6 @@ def run_figure(
     device: Optional[DeviceSpec] = None,
     cpu: Optional[CpuSpec] = None,
     cost: Optional[CostModel] = None,
-    cache_dir: Optional[str] = None,
-    use_cache: bool = True,
     progress: Optional[Callable[[int, int, BenchCell], None]] = None,
 ) -> BenchRecord:
     """Reproduce one named figure, sharded, and return its record.
@@ -407,8 +385,7 @@ def run_figure(
     cells = [
         BenchCell(
             spec=spec, suite=suite, config=config, device=device, cpu=cpu,
-            cost=cost, cache_dir=cache_dir, use_cache=use_cache,
-            suite_origin=origins[suite],
+            cost=cost, suite_origin=origins[suite],
         )
         for suite in plan_suites
         for spec in specs
@@ -434,7 +411,6 @@ def run_figure(
             suites=list(plan_suites),
             device=meta_device.name,
             cpu=meta_cpu.name,
-            cache_dir=str(WorkloadCache(cache_dir).root) if use_cache else None,
         ),
         wall_time_s=wall,
     )

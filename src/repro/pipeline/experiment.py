@@ -55,13 +55,10 @@ def all_dataset_names() -> List[str]:
 def dataset_tasks(name: str) -> tuple[AlignmentTask, ...]:
     """Tasks of one named dataset or registered workload.
 
-    Two cache layers stack here, both behind
-    :func:`repro.bench.cache.workload_tasks`.  The build is served by the
-    persistent :class:`repro.bench.cache.WorkloadCache`
-    (``$REPRO_CACHE_DIR`` / ``~/.cache/repro``), shared across processes
-    and runs; on top of it, the in-process memo retains the materialised
-    task objects together with each task's alignment profile (computed
-    by the first consumer's batched
+    The tasks come from the in-process memo
+    :func:`repro.bench.cache.workload_tasks`, which builds the workload
+    once per process and retains the task objects together with each
+    task's alignment profile (computed by the first consumer's batched
     :func:`~repro.align.vector.task_profiles` sweep), so the dynamic
     program runs once per task no matter how many kernels, figures and
     sessions reuse the workload within one process.

@@ -205,16 +205,6 @@ def _parser() -> argparse.ArgumentParser:
         help="record file to write (default: BENCH_serve.json)",
     )
     parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="workload cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the persistent workload cache (rebuild in memory)",
-    )
-    parser.add_argument(
         "--quiet", action="store_true", help="suppress the telemetry table"
     )
     return parser
@@ -292,12 +282,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = _parser().parse_args(list(sys.argv[1:] if argv is None else argv))
     try:
-        generator = LoadGenerator.from_dataset(
-            args.dataset,
-            seed=args.seed,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-        )
+        generator = LoadGenerator.from_dataset(args.dataset, seed=args.seed)
         trace = _make_trace(generator, args)
         from repro.api.engines import EngineOptions, supports_streaming
 

@@ -111,8 +111,6 @@ class LoadGenerator:
         dataset: Union[str, "SpecLike"],
         *,
         seed: int = 0,
-        cache_dir: Optional[str] = None,
-        use_cache: bool = True,
     ) -> "LoadGenerator":
         """A generator over a dataset's or registered workload's tasks.
 
@@ -120,13 +118,13 @@ class LoadGenerator:
         seeded dataset name or spec, or a registered workload name/spec
         (:mod:`repro.workloads` -- FASTA-backed, adversarial synthetic,
         protein-style scoring).  The workload comes through the same
-        cached path :meth:`repro.api.Session.workload` uses, so a serve
-        drain and a figure run of the same name share the persistent
-        cache entry.
+        in-process memo :meth:`repro.api.Session.workload` uses, so a
+        serve drain and a figure run of the same name in one process
+        share one task tuple.
         """
         from repro.api.session import Session
 
-        session = Session(dataset=dataset, cache_dir=cache_dir, use_cache=use_cache)
+        session = Session(dataset=dataset)
         spec = session.dataset
         assert spec is not None
         return cls(session.workload(), name=spec.name, seed=seed)

@@ -5,8 +5,8 @@ datasets of :mod:`repro.io.datasets` and raw ``tasks=`` sessions): a
 string-keyed registry of :class:`WorkloadSpec` objects that unifies
 
 * **real FASTA-backed data** (:class:`FastaWorkloadSpec` -- plain or
-  gzipped files, paired-record or map-the-reads modes, cache entries
-  fingerprinted by file sha256 so on-disk edits invalidate);
+  gzipped files, paired-record or map-the-reads modes, memo keys
+  fingerprinted by file sha256 so on-disk edits rebuild);
 * **adversarial synthetic generators**
   (:class:`AdversarialWorkloadSpec` -- heavy-tailed, bimodal and
   sorted-run length distributions that stress uneven bucketing and the
@@ -21,8 +21,8 @@ A registered name is accepted wherever a dataset name is:
 ``python -m repro.serve --dataset`` and the bench CLI (``python -m
 repro.bench --figure workloads`` runs every registered workload under
 the AGAThA kernel and writes the gateable ``BENCH_workloads.json``).
-Workloads build through the same persistent
-:class:`~repro.bench.cache.WorkloadCache` as datasets.  The contract --
+Workloads build through the same in-process memo
+(:func:`repro.bench.cache.workload_tasks`) as datasets.  The contract --
 registration, fingerprinting, how a workload reaches Session, bench and
 serve -- is documented in docs/WORKLOADS.md.
 

@@ -10,20 +10,19 @@ spec a downstream project registers.  The contract is structural, not
 inherited -- two optional hooks layered on top of a frozen dataclass:
 
 ``build_tasks() -> Sequence[AlignmentTask]``
-    The expensive materialisation.  :func:`repro.bench.cache.build_workload`
-    calls it for every spec -- the seeded
-    :class:`~repro.io.datasets.DatasetSpec` datasets implement it too --
-    so every workload flows through the same persistent
-    :class:`~repro.bench.cache.WorkloadCache` (fingerprinted file names,
-    atomic writes, LRU eviction) and the same in-process memo
-    (:func:`repro.bench.cache.workload_tasks`).
+    The expensive materialisation.  The in-process memo
+    :func:`repro.bench.cache.workload_tasks` calls it once per spec per
+    process -- the seeded :class:`~repro.io.datasets.DatasetSpec`
+    datasets implement it too -- so every workload flows through the
+    same memo.
 
 ``cache_fingerprint_extra() -> mapping | None``
-    Extra state folded into the cache fingerprint at *lookup* time.
+    Extra state folded into the memo key
+    (:func:`repro.bench.cache.spec_fingerprint`) at *lookup* time.
     Field values are fingerprinted automatically (``dataclasses.asdict``);
     this hook is for state the fields only point at -- the FASTA spec
     returns its files' sha256 digests here, so editing a file on disk
-    invalidates the cache entry even though the spec is unchanged.
+    builds the workload afresh even though the spec is unchanged.
 
 Registering a spec under its name makes it resolvable everywhere a
 dataset name is accepted: ``Session(dataset="adv-heavy-tail")``,
@@ -80,9 +79,9 @@ class WorkloadSpec:
     def cache_fingerprint_extra(self) -> object:
         """Extra fingerprint state beyond the dataclass fields (or None).
 
-        Resolved every time the cache is consulted, so anything returned
-        here -- file hashes, format versions -- invalidates stale entries
-        the moment it changes.
+        Resolved every time the workload memo is consulted, so anything
+        returned here -- file hashes, format versions -- invalidates stale
+        entries the moment it changes.
         """
         return None
 

@@ -19,13 +19,14 @@ in either of the two shapes real guided-alignment inputs take:
     seeded synthetic datasets.  The tasks are the chained extension
     jobs, so workload shape depends on the data, not on a simulator.
 
-Cache identity is the interesting part: the spec's fields fingerprint
+Memo identity is the interesting part: the spec's fields fingerprint
 automatically, but the files they *point at* can change without the
 spec changing.  :meth:`FastaWorkloadSpec.cache_fingerprint_extra`
 therefore returns the sha256 of every referenced file, resolved each
-time the cache is consulted -- editing one base in a FASTA file lands
-the workload in a different cache entry, and the stale one is never
-read again (the invalidation test in ``tests/workloads`` pins this).
+time the workload memo (:func:`repro.bench.cache.workload_tasks`) is
+consulted -- editing one base in a FASTA file gives the workload a new
+key, so it is built afresh and the stale tuple is never read again (the
+invalidation test in ``tests/workloads`` pins this).
 """
 
 from __future__ import annotations

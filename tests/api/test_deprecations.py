@@ -14,14 +14,18 @@ import warnings
 
 import pytest
 
+import repro.bench
 from repro.align import preset
 from repro.api import EngineOptions, Session, align_tasks, get_engine
+from repro.bench import runner
 from repro.bench.cli import main as bench_main
 from repro.io.datasets import synthetic_reference
 from repro.kernels import KernelConfig
 from repro.pipeline import experiment
 from repro.pipeline.mapper import LongReadMapper
 from repro.serve import ServeConfig
+from repro.serve.cli import main as serve_main
+from repro.serve.loadgen import LoadGenerator
 
 
 def _deprecations(fn, *args, **kwargs):
@@ -103,6 +107,69 @@ class TestRetiredShims:
             bench_main(["--figure", "quick", "--scoring-engine", "vector"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --scoring-engine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            Session,
+            runner.run_figure,
+            runner.run_speedup_table,
+            LoadGenerator.from_dataset,
+            runner.BenchCell,
+        ],
+        ids=lambda fn: fn.__qualname__,
+    )
+    def test_cache_dir_and_use_cache_keywords_are_gone(self, fn):
+        # The in-process workload memo is the only task store.
+        params = inspect.signature(fn).parameters
+        assert "cache_dir" not in params
+        assert "use_cache" not in params
+
+    @pytest.mark.parametrize("name", ["WorkloadCache", "build_workload"])
+    def test_persistent_cache_exports_are_gone(self, name):
+        assert not hasattr(repro.bench, name)
+        assert not hasattr(repro.bench.cache, name)
+
+    def test_runner_suites_alias_is_gone(self):
+        assert not hasattr(runner, "SUITES")
+
+    @pytest.mark.parametrize(
+        "main, argv",
+        [
+            (bench_main, ["--no-cache"]),
+            (bench_main, ["--cache-info"]),
+            (bench_main, ["--cache-clear"]),
+            (bench_main, ["--cache-dir", "somewhere"]),
+            (serve_main, ["--no-cache"]),
+            (serve_main, ["--cache-dir", "somewhere"]),
+        ],
+        ids=[
+            "bench --no-cache",
+            "bench --cache-info",
+            "bench --cache-clear",
+            "bench --cache-dir",
+            "serve --no-cache",
+            "serve --cache-dir",
+        ],
+    )
+    def test_cache_flags_are_gone(self, main, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+
+    def test_nothing_persists_outside_the_process(self, tmp_path, monkeypatch):
+        # Every location the retired on-disk store could resolve stays empty.
+        homes = {}
+        for variable in ("REPRO_CACHE_DIR", "XDG_CACHE_HOME", "HOME"):
+            homes[variable] = tmp_path / variable
+            homes[variable].mkdir()
+            monkeypatch.setenv(variable, str(homes[variable]))
+        assert len(Session(dataset="adv-heavy-tail").workload()) == 18
+        record = runner.run_figure("quick", datasets=["adv-bimodal"], suites=("mm2",))
+        for variable, home in homes.items():
+            assert list(home.iterdir()) == [], variable
+        assert "cache_dir" not in record.environment
 
 
 class TestLongReadMapperShim:

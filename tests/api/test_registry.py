@@ -164,7 +164,7 @@ class TestCustomRegistration:
             # The bench runner sees the new suite through the same registry.
             from repro.bench import runner
 
-            assert "test-alias-suite" in runner.SUITES
+            assert "test-alias-suite" in suite_names()
             assert set(runner.build_suite("test-alias-suite")) == {"Alias"}
         finally:
             SUITES.unregister("test-alias-suite")

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.cache import WorkloadCache
-
 from tiny_workloads import make_spec
 
 
@@ -20,8 +18,3 @@ def tiny_specs() -> list:
         make_spec("tiny-A", seed=7, technology="HiFi"),
         make_spec("tiny-B", seed=9, technology="ONT"),
     ]
-
-
-@pytest.fixture
-def tmp_cache(tmp_path) -> WorkloadCache:
-    return WorkloadCache(tmp_path / "cache", enabled=True)

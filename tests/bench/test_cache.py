@@ -1,21 +1,20 @@
-"""Persistent workload cache: roundtrips, invalidation, recovery."""
+"""The in-process workload memo: what it keys on, and one build per spec."""
 
-import pickle
-
-import numpy as np
 import pytest
 
 import repro.bench.cache as cache_mod
-from repro.bench.cache import (
-    CACHE_SCHEMA_VERSION,
-    WorkloadCache,
-    build_workload,
-    cache_enabled,
-    default_cache_dir,
-    spec_fingerprint,
-)
+from repro.bench.cache import spec_fingerprint, workload_tasks
+from repro.io.datasets import DatasetSpec
 
 from tiny_workloads import make_spec
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """A fresh memo, so a test sees only the builds it triggers itself."""
+    memo: dict = {}
+    monkeypatch.setattr(cache_mod, "_TASKS", memo)
+    return memo
 
 
 class TestFingerprint:
@@ -39,194 +38,32 @@ class TestFingerprint:
     def test_scoring_change_invalidates(self, tiny_spec):
         changed = make_spec(scoring=tiny_spec.scoring.replace(band_width=32))
         assert spec_fingerprint(changed) != spec_fingerprint(tiny_spec)
-        cache = WorkloadCache("unused")
-        assert cache.path_for(changed) != cache.path_for(tiny_spec)
-
-    def test_version_salt(self, tiny_spec, monkeypatch):
-        before = spec_fingerprint(tiny_spec)
-        monkeypatch.setattr(cache_mod, "WORKLOAD_VERSION", cache_mod.WORKLOAD_VERSION + 1)
-        assert spec_fingerprint(tiny_spec) != before
 
 
 class TestRoundtrip:
-    def test_build_store_load(self, tiny_spec, tmp_cache):
-        built = tmp_cache.tasks(tiny_spec)
-        assert tmp_cache.misses == 1 and tmp_cache.hits == 0
-        assert len(built) > 0
-        loaded = tmp_cache.load(tiny_spec)
-        assert loaded is not None and len(loaded) == len(built)
-        for a, b in zip(built, loaded):
-            np.testing.assert_array_equal(a.ref, b.ref)
-            np.testing.assert_array_equal(a.query, b.query)
-            assert a.scoring == b.scoring
-            assert a.task_id == b.task_id
+    """Build once, then reuse: the memo's whole life within a process."""
 
-    def test_loaded_tasks_have_no_profiles(self, tiny_spec, tmp_cache):
-        built = tmp_cache.tasks(tiny_spec)
-        built[0].profile()  # compute and memoise one profile
-        tmp_cache.store(tiny_spec, built)
-        loaded = tmp_cache.load(tiny_spec)
-        assert all(task._profile is None for task in loaded)
-
-    def test_warm_cache_skips_workload_construction(self, tiny_spec, tmp_path, monkeypatch):
-        calls = {"n": 0}
-        real_build = build_workload
+    def test_warm_cache_skips_workload_construction(self, empty_memo, monkeypatch):
+        calls = []
+        real_build = DatasetSpec.build_tasks
 
         def counting_build(spec):
-            calls["n"] += 1
+            calls.append(spec.name)
             return real_build(spec)
 
-        monkeypatch.setattr(cache_mod, "build_workload", counting_build)
-        first = WorkloadCache(tmp_path / "c").tasks(tiny_spec)
-        assert calls["n"] == 1
-        # A brand-new cache instance (fresh process in real life) hits disk.
-        again = WorkloadCache(tmp_path / "c").tasks(tiny_spec)
-        assert calls["n"] == 1, "warm cache must skip the seeding/chaining build"
-        assert len(again) == len(first)
+        monkeypatch.setattr(DatasetSpec, "build_tasks", counting_build)
+        first = workload_tasks(make_spec())
+        assert calls == ["tiny-A"]
+        assert len(first) > 0
+        # An equal spec (a second session or figure cell) reads the memo.
+        again = workload_tasks(make_spec())
+        assert calls == ["tiny-A"], "a warm memo must skip the seeding/chaining build"
+        assert again is first
 
-    def test_changed_spec_rebuilds(self, tiny_spec, tmp_cache):
-        tmp_cache.tasks(tiny_spec)
+    def test_changed_spec_rebuilds(self, tiny_spec, empty_memo):
+        first = workload_tasks(tiny_spec)
         changed = make_spec(scoring=tiny_spec.scoring.replace(zdrop=40))
-        tmp_cache.tasks(changed)
-        assert tmp_cache.misses == 2
-        assert len(tmp_cache.entries()) == 2
-
-
-class TestRecovery:
-    def test_corrupt_file_is_rebuilt(self, tiny_spec, tmp_cache):
-        tmp_cache.tasks(tiny_spec)
-        path = tmp_cache.path_for(tiny_spec)
-        path.write_bytes(b"\x80garbage that is not a pickle")
-        tasks = tmp_cache.tasks(tiny_spec)
-        assert tmp_cache.misses == 2
-        assert len(tasks) > 0
-        # The entry was re-written and is valid again.
-        assert tmp_cache.load(tiny_spec) is not None
-
-    def test_truncated_file_is_rebuilt(self, tiny_spec, tmp_cache):
-        tmp_cache.tasks(tiny_spec)
-        path = tmp_cache.path_for(tiny_spec)
-        path.write_bytes(path.read_bytes()[: 10])
-        assert tmp_cache.load(tiny_spec) is None
-        assert not path.exists(), "corrupt entries are removed"
-
-    def test_schema_version_mismatch_is_rebuilt(self, tiny_spec, tmp_cache):
-        tmp_cache.tasks(tiny_spec)
-        path = tmp_cache.path_for(tiny_spec)
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        payload["schema"] = CACHE_SCHEMA_VERSION + 1
-        with open(path, "wb") as fh:
-            pickle.dump(payload, fh)
-        assert tmp_cache.load(tiny_spec) is None
-
-    def test_fingerprint_mismatch_is_rebuilt(self, tiny_spec, tmp_cache):
-        tmp_cache.tasks(tiny_spec)
-        path = tmp_cache.path_for(tiny_spec)
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        payload["fingerprint"] = "0" * 20
-        with open(path, "wb") as fh:
-            pickle.dump(payload, fh)
-        assert tmp_cache.load(tiny_spec) is None
-
-
-class TestConfiguration:
-    def test_disabled_cache_never_touches_disk(self, tiny_spec, tmp_path):
-        cache = WorkloadCache(tmp_path / "c", enabled=False)
-        tasks = cache.tasks(tiny_spec)
-        assert len(tasks) > 0
-        assert not (tmp_path / "c").exists()
-
-    def test_repro_no_cache_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        assert not cache_enabled()
-        assert not WorkloadCache("anywhere").enabled
-        monkeypatch.delenv("REPRO_NO_CACHE")
-        assert cache_enabled()
-
-    def test_default_dir_resolution(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "explicit"))
-        assert default_cache_dir() == tmp_path / "explicit"
-        monkeypatch.delenv("REPRO_CACHE_DIR")
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-        assert default_cache_dir() == tmp_path / "xdg" / "repro"
-        monkeypatch.delenv("XDG_CACHE_HOME")
-        assert default_cache_dir() == cache_mod.Path.home() / ".cache" / "repro"
-
-    def test_clear(self, tiny_spec, tmp_cache):
-        tmp_cache.tasks(tiny_spec)
-        assert tmp_cache.clear() == 1
-        assert tmp_cache.entries() == []
-
-    def test_info(self, tiny_spec, tmp_cache):
-        tmp_cache.tasks(tiny_spec)
-        info = tmp_cache.info()
-        assert info["entries"] == 1
-        assert info["total_bytes"] > 0
-        assert info["enabled"] is True
-        assert info["max_bytes"] is None
-        assert info["root"] == str(tmp_cache.root)
-
-
-class TestLruEviction:
-    def _fill(self, cache, count):
-        """Store ``count`` distinct workloads with strictly ordered mtimes."""
-        import os
-
-        specs = [make_spec(name=f"tiny-lru-{i}", seed=i) for i in range(count)]
-        for stamp, spec in enumerate(specs):
-            cache.store(spec, cache_mod.build_workload(spec))
-            # Deterministic mtime ordering without sleeping.
-            os.utime(cache.path_for(spec), (1000.0 + stamp, 1000.0 + stamp))
-        return specs
-
-    def test_unbounded_cache_never_evicts(self, tmp_path):
-        cache = WorkloadCache(tmp_path / "c", enabled=True)
-        self._fill(cache, 3)
-        assert cache.evict() == []
-        assert len(cache.entries()) == 3
-
-    def test_store_evicts_oldest_first(self, tmp_path):
-        cache = WorkloadCache(tmp_path / "c", enabled=True)
-        self._fill(cache, 3)
-        per_entry = cache.info()["total_bytes"] // 3
-        capped = WorkloadCache(tmp_path / "c", enabled=True, max_bytes=2 * per_entry)
-        newest = make_spec(name="tiny-lru-new", seed=99)
-        capped.store(newest, cache_mod.build_workload(newest))
-        remaining = [p.name for p in capped.entries()]
-        # The new store itself survives; the oldest entries made room.
-        assert any(name.startswith("tiny-lru-new") for name in remaining)
-        assert not any(name.startswith("tiny-lru-0-") for name in remaining)
-
-    def test_load_touches_entry_lru_not_fifo(self, tmp_path):
-        cache = WorkloadCache(tmp_path / "c", enabled=True)
-        specs = self._fill(cache, 3)
-        per_entry = cache.info()["total_bytes"] // 3
-        capped = WorkloadCache(tmp_path / "c", enabled=True, max_bytes=2 * per_entry)
-        # Hit the oldest entry: it becomes most-recently-used ...
-        assert capped.load(specs[0]) is not None
-        evicted = capped.evict()
-        # ... so eviction removes tiny-lru-1 (now the LRU), not tiny-lru-0.
-        assert [p.name.startswith("tiny-lru-1-") for p in evicted] == [True]
-        assert capped.load(specs[0]) is not None
-        assert capped.load(specs[1]) is None
-
-    def test_keep_protects_fresh_store_from_tiny_caps(self, tmp_path):
-        cache = WorkloadCache(tmp_path / "c", enabled=True, max_bytes=1)
-        spec = make_spec(name="tiny-lru-keep", seed=5)
-        cache.store(spec, cache_mod.build_workload(spec))
-        # Cap is absurdly small, but the just-written entry survives.
-        assert cache.load(spec) is not None
-
-    def test_env_cap_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "12345")
-        assert cache_mod.cache_max_bytes() == 12345
-        assert WorkloadCache("anywhere").max_bytes == 12345
-        assert WorkloadCache("anywhere", max_bytes=7).max_bytes == 7
-        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "not-a-number")
-        assert cache_mod.cache_max_bytes() is None
-        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "-5")
-        assert cache_mod.cache_max_bytes() is None
-        monkeypatch.delenv("REPRO_CACHE_MAX_BYTES")
-        assert cache_mod.cache_max_bytes() is None
+        rebuilt = workload_tasks(changed)
+        assert rebuilt is not first
+        assert all(task.scoring.zdrop == 40 for task in rebuilt)
+        assert len(empty_memo) == 2

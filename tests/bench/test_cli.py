@@ -12,9 +12,7 @@ import pytest
 
 from repro.bench.cli import main
 from repro.bench.records import BenchRecord
-from repro.bench.runner import run_figure, run_speedup_table
-
-from tiny_workloads import make_spec
+from repro.bench.runner import run_speedup_table
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -24,8 +22,8 @@ class TestRunMode:
         """`python -m repro.bench --figure quick --workers 2` on a registry
         dataset must reproduce a serial run bit for bit."""
         name = "ONT-HG002"
-        # Serial reference first: warms the in-process task memo and the
-        # persistent workload cache the CLI's pool workers will read.
+        # Serial reference first: it fills the in-process task memo, which
+        # fork-started pool workers inherit (spawned ones rebuild it).
         expected = run_speedup_table([name], suite="mm2")
 
         out = tmp_path / "BENCH_quick.json"
@@ -46,18 +44,6 @@ class TestRunMode:
         record = BenchRecord.from_dict(json.loads(out.read_text()))
         assert record.speedup_table("mm2") == expected  # bit-identical
         assert record.environment["workers"] == 2
-
-    def test_quiet_and_no_cache(self, tmp_path, capsys):
-        spec = make_spec()
-        record = run_figure(
-            "quick",
-            datasets=[spec],
-            suites=("mm2",),
-            use_cache=False,
-            cache_dir=str(tmp_path / "unused"),
-        )
-        assert not (tmp_path / "unused").exists()
-        assert record.environment["cache_dir"] is None
 
     def test_plugins_flag_enables_custom_suite(self, tmp_path, monkeypatch, capsys):
         """--plugins imports a module whose registered suite becomes a
@@ -124,36 +110,6 @@ class TestRunMode:
     def test_missing_record_file_is_a_clean_error(self, tmp_path, capsys):
         assert main(["compare", str(tmp_path / "nope.json"), str(tmp_path / "x.json")]) == 2
         assert "error:" in capsys.readouterr().err
-
-
-class TestCacheAdmin:
-    def test_cache_info_reports_without_running(self, tmp_path, capsys):
-        from repro.bench.cache import WorkloadCache
-
-        cache = WorkloadCache(tmp_path / "c", enabled=True)
-        cache.tasks(make_spec())
-        assert main(["--cache-info", "--cache-dir", str(tmp_path / "c")]) == 0
-        out = capsys.readouterr().out
-        assert "entries    : 1" in out
-        assert "REPRO_CACHE_MAX_BYTES" in out
-        assert "wrote" not in out  # no figure ran
-
-    def test_cache_clear_empties_the_store(self, tmp_path, capsys):
-        from repro.bench.cache import WorkloadCache
-
-        cache = WorkloadCache(tmp_path / "c", enabled=True)
-        cache.tasks(make_spec())
-        assert main(["--cache-clear", "--cache-dir", str(tmp_path / "c")]) == 0
-        assert "removed 1 cached workload(s)" in capsys.readouterr().out
-        assert cache.entries() == []
-
-    def test_cache_clear_then_info_combined(self, tmp_path, capsys):
-        assert main(
-            ["--cache-clear", "--cache-info", "--cache-dir", str(tmp_path / "c")]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "removed 0 cached workload(s)" in out
-        assert "entries    : 0" in out
 
 
 class TestCompareMode:

@@ -19,10 +19,6 @@ from repro.kernels import KernelConfig
 from tiny_workloads import make_spec
 
 
-def _cache_args(tmp_path):
-    return dict(cache_dir=str(tmp_path / "cache"), use_cache=True)
-
-
 class TestSuites:
     def test_mm2_and_diff_suites(self):
         assert set(build_suite("mm2")) == {"GASAL2", "SALoBa", "Manymap", "AGAThA"}
@@ -51,23 +47,15 @@ class TestSuites:
 
 
 class TestDeterminism:
-    def test_parallel_equals_serial_bitwise(self, tiny_specs, tmp_path):
+    def test_parallel_equals_serial_bitwise(self, tiny_specs):
         """The acceptance property: sharding must not change a single bit."""
-        serial = run_speedup_table(
-            tiny_specs, suite="mm2", workers=1, **_cache_args(tmp_path)
-        )
-        parallel = run_speedup_table(
-            tiny_specs, suite="mm2", workers=2, **_cache_args(tmp_path)
-        )
+        serial = run_speedup_table(tiny_specs, suite="mm2", workers=1)
+        parallel = run_speedup_table(tiny_specs, suite="mm2", workers=2)
         assert serial == parallel  # exact float equality, GeoMean included
 
-    def test_repeated_parallel_runs_identical(self, tiny_specs, tmp_path):
-        first = run_speedup_table(
-            tiny_specs, suite="ablation", workers=2, **_cache_args(tmp_path)
-        )
-        second = run_speedup_table(
-            tiny_specs, suite="ablation", workers=2, **_cache_args(tmp_path)
-        )
+    def test_repeated_parallel_runs_identical(self, tiny_specs):
+        first = run_speedup_table(tiny_specs, suite="ablation", workers=2)
+        second = run_speedup_table(tiny_specs, suite="ablation", workers=2)
         assert first == second
 
 
@@ -86,13 +74,8 @@ class TestValidation:
 
 
 class TestRecords:
-    def test_run_figure_assembles_record(self, tiny_specs, tmp_path):
-        record = run_figure(
-            "quick",
-            datasets=tiny_specs,
-            workers=2,
-            **_cache_args(tmp_path),
-        )
+    def test_run_figure_assembles_record(self, tiny_specs):
+        record = run_figure("quick", datasets=tiny_specs, workers=2)
         assert record.figure == "quick"
         assert record.datasets == ["tiny-A", "tiny-B"]
         assert set(record.suites) == {"mm2", "diff"}
@@ -106,37 +89,32 @@ class TestRecords:
                 assert cell.speedup_vs_cpu == pytest.approx(cpu_ms / cell.time_ms)
                 assert cell.cells > 0
 
-    def test_record_speedups_match_run_speedup_table(self, tiny_specs, tmp_path):
-        record = run_figure(
-            "quick", datasets=tiny_specs, suites=("mm2",), **_cache_args(tmp_path)
-        )
-        table = run_speedup_table(
-            tiny_specs, suite="mm2", workers=1, **_cache_args(tmp_path)
-        )
+    def test_record_speedups_match_run_speedup_table(self, tiny_specs):
+        record = run_figure("quick", datasets=tiny_specs, suites=("mm2",))
+        table = run_speedup_table(tiny_specs, suite="mm2", workers=1)
         assert record.speedup_table("mm2") == table
 
-    def test_progress_callback(self, tiny_spec, tmp_path):
+    def test_progress_callback(self, tiny_spec):
         seen = []
         run_figure(
             "quick",
             datasets=[tiny_spec],
             suites=("mm2",),
             progress=lambda done, total, cell: seen.append((done, total, cell.suite)),
-            **_cache_args(tmp_path),
         )
         assert seen == [(1, 1, "mm2")]
 
 
 class TestCells:
-    def test_run_cell_includes_cpu_anchor(self, tiny_spec, tmp_path):
-        cell = BenchCell(spec=tiny_spec, suite="mm2", **_cache_args(tmp_path))
+    def test_run_cell_includes_cpu_anchor(self, tiny_spec):
+        cell = BenchCell(spec=tiny_spec, suite="mm2")
         result = run_cell(cell)
         assert result["CPU"]["speedup_vs_cpu"] == 1.0
         assert set(result) == {"CPU", "GASAL2", "SALoBa", "Manymap", "AGAThA"}
 
-    def test_run_cells_preserves_input_order(self, tiny_specs, tmp_path):
+    def test_run_cells_preserves_input_order(self, tiny_specs):
         cells = [
-            BenchCell(spec=spec, suite=suite, **_cache_args(tmp_path))
+            BenchCell(spec=spec, suite=suite)
             for suite in ("mm2", "diff")
             for spec in tiny_specs
         ]
@@ -144,10 +122,8 @@ class TestCells:
         parallel = run_cells(cells, workers=3)
         assert serial == parallel
 
-    def test_worker_exception_propagates(self, tmp_path):
-        bad = BenchCell(
-            spec=make_spec(technology="HiFi"), suite="nope", **_cache_args(tmp_path)
-        )
+    def test_worker_exception_propagates(self):
+        bad = BenchCell(spec=make_spec(technology="HiFi"), suite="nope")
         with pytest.raises(ValueError, match="unknown suite"):
             run_cells([bad, bad], workers=2)
 
@@ -180,7 +156,6 @@ class TestCells:
                 spec=tiny_spec,
                 suite="plugin-suite",
                 suite_origin="bench_plugin_mod",
-                **_cache_args(tmp_path),
             )
             result = run_cell(cell)
             assert set(result) == {"CPU", "AGAThA"}
@@ -195,9 +170,7 @@ class TestCells:
         assert _suite_origin("mm2") == "repro.api.suites"
         assert _suite_origin("not-registered") is None
 
-    def test_main_registered_suite_rejected_under_spawn(
-        self, tiny_specs, tmp_path, monkeypatch
-    ):
+    def test_main_registered_suite_rejected_under_spawn(self, tiny_specs, monkeypatch):
         """Spawn-started workers re-import modules and never see __main__
         registrations, so sharding such a suite must fail fast."""
         from repro.api.suites import SUITES, SuiteEntry, SuiteSpec
@@ -208,10 +181,7 @@ class TestCells:
             origin="__main__",
         )
         SUITES.register("test-main-suite", spec)
-        cells = [
-            BenchCell(spec=s, suite="test-main-suite", **_cache_args(tmp_path))
-            for s in tiny_specs
-        ]
+        cells = [BenchCell(spec=s, suite="test-main-suite") for s in tiny_specs]
         try:
             monkeypatch.setattr(
                 "multiprocessing.get_start_method", lambda *a, **k: "spawn"

@@ -1,6 +1,6 @@
 """Tiny dataset specs shared by the repro.bench tests.
 
-Deliberately small (a few short reads over a small reference) so cache
+Deliberately small (a few short reads over a small reference) so memo
 and runner behaviour -- including real process-pool sharding -- can be
 exercised in seconds.
 """

@@ -92,7 +92,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             LoadGenerator([])
 
-    def test_from_dataset_uses_cached_workload(self, tmp_path):
+    def test_from_dataset_uses_cached_workload(self):
         spec = DatasetSpec(
             name="tiny-serve-ds",
             technology="HiFi",
@@ -101,11 +101,9 @@ class TestConstruction:
             reference_length=4000,
             scoring=preset("map-ont", band_width=16, zdrop=80),
         )
-        generator = LoadGenerator.from_dataset(spec, cache_dir=str(tmp_path))
+        generator = LoadGenerator.from_dataset(spec)
         assert generator.name == "tiny-serve-ds"
         assert len(generator.tasks) > 0
-        # The workload landed in the persistent cache.
-        assert list(tmp_path.glob("workloads/*.pkl"))
         trace = generator.replay(100.0, 4)
         assert len(trace) == 4
 

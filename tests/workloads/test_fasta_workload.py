@@ -1,11 +1,11 @@
-"""Tests for FASTA-backed workloads and their cache fingerprinting."""
+"""Tests for FASTA-backed workloads and their memo fingerprinting."""
 
 import numpy as np
 import pytest
 
 from repro.align.scoring import preset
 from repro.align.sequence import mutate, random_sequence
-from repro.bench.cache import WorkloadCache, spec_fingerprint
+from repro.bench.cache import spec_fingerprint, workload_tasks
 from repro.io.fasta import FastaRecord, write_fasta
 from repro.workloads import FastaWorkloadSpec, file_sha256, get_workload
 
@@ -87,18 +87,6 @@ class TestBuild:
 
 
 class TestCaching:
-    def test_cache_hit_returns_identical_tasks(self, fasta_pair, tmp_path):
-        spec = make_spec(*fasta_pair)
-        cache = WorkloadCache(tmp_path / "cache")
-        first = cache.tasks(spec)
-        assert cache.misses == 1
-        second = cache.tasks(spec)
-        assert cache.hits == 1
-        assert len(first) == len(second)
-        for a, b in zip(first, second):
-            assert np.array_equal(a.ref, b.ref)
-            assert np.array_equal(a.query, b.query)
-
     def test_fingerprint_includes_file_hashes(self, fasta_pair):
         spec = make_spec(*fasta_pair)
         extra = spec.cache_fingerprint_extra()
@@ -107,26 +95,19 @@ class TestCaching:
             "reads_sha256": file_sha256(spec.reads_path),
         }
 
-    def test_editing_a_file_invalidates_the_cache_entry(self, fasta_pair, tmp_path):
+    def test_editing_a_file_invalidates_the_cache_entry(self, fasta_pair):
         ref_path, reads_path = fasta_pair
         spec = make_spec(ref_path, reads_path)
-        cache = WorkloadCache(tmp_path / "cache")
-        cache.tasks(spec)
+        first = workload_tasks(spec)
         before = spec_fingerprint(spec)
 
         # Edit one base in the reads file; the spec itself is unchanged.
         text = reads_path.read_text()
         reads_path.write_text(text.replace("A", "C", 1))
 
-        after = spec_fingerprint(spec)
-        assert after != before
-        cache.tasks(spec)
-        # Unchanged spec, changed file: the lookup was a miss, not a hit.
-        assert cache.misses == 2
-        assert cache.hits == 0
-
-    def test_distinct_specs_get_distinct_cache_files(self, fasta_pair, tmp_path):
-        spec_a = make_spec(*fasta_pair)
-        spec_b = make_spec(*fasta_pair, max_tasks=3)
-        cache = WorkloadCache(tmp_path / "cache")
-        assert cache.path_for(spec_a) != cache.path_for(spec_b)
+        assert spec_fingerprint(spec) != before
+        # Unchanged spec, changed file: the memo builds a new tuple.
+        second = workload_tasks(spec)
+        assert second is not first
+        assert workload_tasks(spec) is second
+        assert not np.array_equal(first[0].query, second[0].query)

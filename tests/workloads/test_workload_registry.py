@@ -148,14 +148,6 @@ class TestIntegration:
         assert Session(dataset="adv-bimodal").workload() is first
         assert dataset_tasks("adv-bimodal") is first
 
-    def test_no_cache_env_holds_for_workloads(self, tmp_path, monkeypatch):
-        from repro.api import Session
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        assert len(Session(dataset="adv-heavy-tail").workload()) == 18
-        assert list(tmp_path.rglob("*.pkl")) == []
-
     def test_loadgen_accepts_workload_name(self):
         from repro.serve.loadgen import LoadGenerator
 
