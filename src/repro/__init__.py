@@ -19,7 +19,7 @@ Subpackages
     result objects, and the engine / kernel / suite registries.
 ``repro.align``
     The guided alignment substrate (scoring, banding, Z-drop/X-drop,
-    exact scalar oracle, vectorised wavefront engine, packing, blocks).
+    exact scalar oracle, vectorised wavefront engine, blocks).
 ``repro.gpusim``
     The GPU execution/cost model (devices, warps, memory, executor).
 ``repro.core``

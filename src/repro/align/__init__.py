@@ -16,9 +16,6 @@ The modules are organised bottom-up:
 ``sequence``
     Nucleotide encoding ('A', 'C', 'G', 'T', 'N' -> 0..4) and random
     sequence helpers.
-``packing``
-    4-bit literal packing into 32-bit words (GASAL2-style input packing,
-    Figure 2a of the paper).
 ``banding``
     Band geometry: which cells of the score table are inside the band,
     per-anti-diagonal cell ranges, and completion bookkeeping.
@@ -82,7 +79,6 @@ from repro.align.vector import (
     pack_tasks,
     vector_align,
 )
-from repro.align.packing import pack_sequence, unpack_sequence, PackedSequence
 from repro.align.blocks import BlockGrid
 from repro.align.traceback import traceback_align, Cigar
 
@@ -112,9 +108,6 @@ __all__ = [
     "pack_tasks",
     "VectorStream",
     "vector_align",
-    "pack_sequence",
-    "unpack_sequence",
-    "PackedSequence",
     "BlockGrid",
     "traceback_align",
     "Cigar",

@@ -91,11 +91,6 @@ class BandGeometry:
         j_hi = min(self.query_len - 1, c, (c - self.diag_lo) // 2)
         return (j_lo, j_hi)
 
-    def cells_on(self, c: int) -> int:
-        """Number of in-band cells on anti-diagonal ``c``."""
-        j_lo, j_hi = self.row_range(c)
-        return max(0, j_hi - j_lo + 1)
-
     # ------------------------------------------------------------------
     # vectorised per-anti-diagonal tables
     # ------------------------------------------------------------------
@@ -134,24 +129,10 @@ class BandGeometry:
         """Number of in-band cells per anti-diagonal (``int64``)."""
         return np.maximum(0, self.row_hi - self.row_lo + 1)
 
-    @cached_property
-    def cumulative_cells(self) -> np.ndarray:
-        """``cumulative_cells[c]`` = in-band cells on anti-diagonals ``<= c``."""
-        return np.cumsum(self.cells_per_antidiagonal)
-
     @property
     def total_cells(self) -> int:
         """Total number of in-band cells in the table."""
-        if self.num_antidiagonals == 0:
-            return 0
-        return int(self.cumulative_cells[-1])
-
-    def cells_up_to(self, c: int) -> int:
-        """In-band cells on anti-diagonals ``0 .. c`` inclusive (clamped)."""
-        if self.num_antidiagonals == 0 or c < 0:
-            return 0
-        c = min(c, self.num_antidiagonals - 1)
-        return int(self.cumulative_cells[c])
+        return int(self.cells_per_antidiagonal.sum())
 
     # ------------------------------------------------------------------
     # completion bookkeeping for chunked schedules
@@ -208,14 +189,6 @@ class BandGeometry:
             return 0
         rows_done = min(rows_done, self.query_len)
         return int(self._cells_per_row[:rows_done].sum())
-
-    def cells_in_rows(self, row_lo: int, row_hi: int) -> int:
-        """Total in-band cells over query rows ``row_lo .. row_hi`` inclusive."""
-        row_lo = max(0, row_lo)
-        row_hi = min(self.query_len - 1, row_hi)
-        if row_lo > row_hi:
-            return 0
-        return int(self._cells_per_row[row_lo : row_hi + 1].sum())
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -1,26 +1,21 @@
 """Block decomposition of the banded score table.
 
-Because sequences are packed 8 literals per 32-bit word
-(:mod:`repro.align.packing`), GPU kernels organise the score table into
-8x8-cell *blocks* -- the smallest unit of workload distribution
-(paper Figure 2a).  :class:`BlockGrid` provides the block-level view of a
+GPU aligners pack sequences 4 bits per literal, 8 literals per 32-bit
+word (GASAL2-style input packing, paper Figure 2a), so one reference
+word and one query word supply exactly the literals of an 8x8-cell
+*block* -- the smallest unit of workload distribution.
+:class:`BlockGrid` provides the block-level view of a
 :class:`~repro.align.banding.BandGeometry` that every kernel simulation
 relies on:
 
-* which blocks intersect the band and how many there are (workload size,
-  the Y-axis of Figures 3(b) and 12);
-* blocks grouped by their *block anti-diagonal* ``a = bi + bj``, the
-  granularity at which the sliced-diagonal scheme advances;
-* the translation between block anti-diagonals and completed cell
-  anti-diagonals, which determines where the termination condition can
-  legally be evaluated (the run-ahead bookkeeping).
+* which block columns of each block row intersect the band (the
+  workload the schedules of :mod:`repro.core.sliced_diagonal` walk);
+* the translation between block anti-diagonals ``a = bi + bj`` and
+  completed cell anti-diagonals, which determines where the termination
+  condition can legally be evaluated (the run-ahead bookkeeping).
 """
 
 from __future__ import annotations
-
-from functools import cached_property
-
-import numpy as np
 
 from repro.align.banding import BandGeometry
 
@@ -67,51 +62,9 @@ class BlockGrid:
             return 0
         return self.num_block_cols + self.num_block_rows - 1
 
-    @property
-    def band_rows_in_blocks(self) -> int:
-        """Width of the band measured in block rows.
-
-        This is the number of block rows a diagonal cross-section of the
-        band spans -- the quantity that determines how many chunks (of
-        ``threads_per_subwarp`` block rows each) a slice is split into.
-        """
-        if self.num_block_rows == 0:
-            return 0
-        if not self.geometry.band_width:
-            return self.num_block_rows
-        # A band of w diagonals crosses at most ceil(w / B) + 1 block rows.
-        return min(
-            self.num_block_rows,
-            -(-self.geometry.band_width // self.block_size) + 1,
-        )
-
     # ------------------------------------------------------------------
     # membership
     # ------------------------------------------------------------------
-    def block_cell_ranges(self, bi: int, bj: int) -> tuple[int, int, int, int]:
-        """Cell ranges ``(i_lo, i_hi, j_lo, j_hi)`` (inclusive) of block
-        ``(bi, bj)``, clipped to the table."""
-        i_lo = bi * self.block_size
-        j_lo = bj * self.block_size
-        i_hi = min(self.geometry.ref_len - 1, i_lo + self.block_size - 1)
-        j_hi = min(self.geometry.query_len - 1, j_lo + self.block_size - 1)
-        return i_lo, i_hi, j_lo, j_hi
-
-    def block_in_band(self, bi: int, bj: int) -> bool:
-        """Whether block ``(bi, bj)`` contains at least one in-band cell.
-
-        A block intersects the band iff its diagonal interval
-        ``[i_lo - j_hi, i_hi - j_lo]`` overlaps the band's diagonal range.
-        """
-        if not (0 <= bi < self.num_block_cols and 0 <= bj < self.num_block_rows):
-            return False
-        i_lo, i_hi, j_lo, j_hi = self.block_cell_ranges(bi, bj)
-        if i_lo > i_hi or j_lo > j_hi:
-            return False
-        d_min = i_lo - j_hi
-        d_max = i_hi - j_lo
-        return d_min <= self.geometry.diag_hi and d_max >= self.geometry.diag_lo
-
     def in_band_block_cols(self, bj: int) -> tuple[int, int]:
         """Inclusive range of in-band block columns on block row ``bj``
         (empty range when none)."""
@@ -125,35 +78,6 @@ class BlockGrid:
         if i_lo > i_hi:
             return (0, -1)
         return (i_lo // self.block_size, i_hi // self.block_size)
-
-    # ------------------------------------------------------------------
-    # aggregate counts
-    # ------------------------------------------------------------------
-    @cached_property
-    def blocks_per_row(self) -> np.ndarray:
-        """In-band block count per block row (``int64``)."""
-        counts = np.zeros(self.num_block_rows, dtype=np.int64)
-        for bj in range(self.num_block_rows):
-            lo, hi = self.in_band_block_cols(bj)
-            counts[bj] = max(0, hi - lo + 1)
-        return counts
-
-    @property
-    def total_in_band_blocks(self) -> int:
-        """Total number of blocks intersecting the band."""
-        if self.num_block_rows == 0:
-            return 0
-        return int(self.blocks_per_row.sum())
-
-    @cached_property
-    def blocks_per_block_antidiagonal(self) -> np.ndarray:
-        """In-band block count per block anti-diagonal ``a = bi + bj``."""
-        counts = np.zeros(max(self.num_block_antidiagonals, 0), dtype=np.int64)
-        for bj in range(self.num_block_rows):
-            lo, hi = self.in_band_block_cols(bj)
-            for bi in range(lo, hi + 1):
-                counts[bi + bj] += 1
-        return counts
 
     # ------------------------------------------------------------------
     # completion bookkeeping
@@ -182,23 +106,8 @@ class BlockGrid:
         last_cell_antidiag = min(cell_antidiags, self.geometry.num_antidiagonals) - 1
         return last_cell_antidiag // self.block_size
 
-    def blocks_up_to_block_antidiag(self, block_antidiag: int) -> int:
-        """In-band blocks on block anti-diagonals ``<= block_antidiag``."""
-        if block_antidiag < 0 or self.num_block_antidiagonals == 0:
-            return 0
-        a = min(block_antidiag, self.num_block_antidiagonals - 1)
-        return int(self.blocks_per_block_antidiagonal[: a + 1].sum())
-
-    def blocks_in_block_rows(self, bj_lo: int, bj_hi: int) -> int:
-        """In-band blocks over block rows ``bj_lo .. bj_hi`` inclusive."""
-        bj_lo = max(0, bj_lo)
-        bj_hi = min(self.num_block_rows - 1, bj_hi)
-        if bj_lo > bj_hi:
-            return 0
-        return int(self.blocks_per_row[bj_lo : bj_hi + 1].sum())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"BlockGrid({self.num_block_cols}x{self.num_block_rows} blocks, "
-            f"block_size={self.block_size}, in_band={self.total_in_band_blocks})"
+            f"block_size={self.block_size})"
         )

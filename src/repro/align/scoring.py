@@ -139,14 +139,6 @@ class ScoringScheme:
         """Whether Z-drop termination is enabled."""
         return self.zdrop > 0
 
-    def gap_cost(self, length: int) -> int:
-        """Total penalty of a gap of ``length`` bases (0 for length 0)."""
-        if length < 0:
-            raise ValueError("gap length must be non-negative")
-        if length == 0:
-            return 0
-        return self.gap_open + length * self.gap_extend
-
     def replace(self, **changes) -> "ScoringScheme":
         """Return a copy with the given fields replaced."""
         return _dc_replace(self, **changes)

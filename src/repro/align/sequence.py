@@ -2,8 +2,7 @@
 
 Sequences are handled as ``numpy.uint8`` arrays of codes rather than Python
 strings: the alignment engines index substitution matrices with them
-directly, and the packing module (:mod:`repro.align.packing`) packs them
-4 bits per literal exactly like the GPU kernels described in the paper.
+directly.
 
 The five literals are the four DNA bases plus the ambiguity code ``N``:
 
@@ -215,14 +214,3 @@ def mutate(
     if not out:
         return np.empty(0, dtype=np.uint8)
     return np.concatenate(out).astype(np.uint8)
-
-
-def reverse_complement(seq: np.ndarray) -> np.ndarray:
-    """Return the reverse complement of an encoded sequence.
-
-    ``N`` complements to ``N``; the base codes complement as
-    A<->T (0<->3) and C<->G (1<->2).
-    """
-    seq = np.asarray(seq, dtype=np.uint8)
-    comp = np.array([3, 2, 1, 0, 4], dtype=np.uint8)
-    return comp[seq][::-1].copy()

@@ -114,19 +114,6 @@ class AlignmentProfile:
         """In-band cells computed before termination."""
         return self.result.cells_computed
 
-    @property
-    def total_band_cells(self) -> int:
-        """In-band cells of the *full* table (work without termination)."""
-        return self.geometry.total_cells
-
-    def workload_blocks(self, block_size: int = 8) -> int:
-        """Approximate number of ``block_size x block_size`` blocks the
-        processed region spans -- the workload unit of Figures 3(b) and 12."""
-        if block_size <= 0:
-            raise ValueError("block_size must be positive")
-        cells = max(self.cells_computed, 0)
-        return -(-cells // (block_size * block_size))
-
 
 @dataclass
 class AlignmentTask:

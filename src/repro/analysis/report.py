@@ -60,7 +60,7 @@ def format_bench_record(record) -> str:
 
 
 def format_speedup_table(table: Mapping[str, Mapping[str, float]]) -> str:
-    """Render the output of :func:`repro.bench.runner.run_speedup_table`.
+    """Render a speedup table (:meth:`repro.bench.records.BenchRecord.speedup_table`).
 
     Rows are kernels, columns are datasets (plus the geometric mean),
     values are speedups over the CPU baseline.

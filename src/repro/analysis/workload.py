@@ -14,6 +14,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.align.blocks import DEFAULT_BLOCK_SIZE
 from repro.align.types import AlignmentTask
 from repro.align.vector import task_profiles
 from repro.gpusim.trace import KernelLaunchStats
@@ -59,9 +60,7 @@ def workload_histogram(
     return {"bin_edges": edges, "task_count": counts, "total_workload": sums}
 
 
-def per_subwarp_block_distribution(
-    stats: KernelLaunchStats, block_size: int = 8
-) -> np.ndarray:
+def per_subwarp_block_distribution(stats: KernelLaunchStats) -> np.ndarray:
     """Blocks computed per subwarp slot in one simulated launch.
 
     This is the quantity Figure 12 accumulates: with the original ordering
@@ -70,7 +69,7 @@ def per_subwarp_block_distribution(
     moderate counts.
     """
     blocks: List[float] = []
-    cells_per_block = float(block_size * block_size)
+    cells_per_block = float(DEFAULT_BLOCK_SIZE * DEFAULT_BLOCK_SIZE)
     for warp in stats.warps:
         for sw in warp.subwarps:
             total = sum(wl.cells for wl in sw.workloads)

@@ -26,7 +26,6 @@ from repro.bench.runner import (
     run_cell,
     run_cells,
     run_figure,
-    run_speedup_table,
 )
 
 __all__ = [
@@ -43,5 +42,4 @@ __all__ = [
     "run_cell",
     "run_cells",
     "run_figure",
-    "run_speedup_table",
 ]

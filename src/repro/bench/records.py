@@ -78,11 +78,10 @@ class CellRecord:
 class SuiteRecord:
     """Results of one kernel suite over a set of datasets.
 
-    ``speedups`` is exactly the mapping
-    :func:`repro.bench.runner.run_speedup_table` returns for the same
-    datasets and suite (``kernel -> {dataset: speedup, ..., "GeoMean"}``),
-    so record contents can be compared bit for bit against a serial
-    run.
+    ``speedups`` maps ``kernel -> {dataset: speedup, ..., "GeoMean"}``
+    for the suite's datasets; it is bit-identical however the cells were
+    sharded, so record contents can be compared bit for bit against a
+    serial run.
     """
 
     suite: str
@@ -131,7 +130,7 @@ class BenchRecord:
 
     # ------------------------------------------------------------------
     def speedup_table(self, suite: str) -> Dict[str, Dict[str, float]]:
-        """The speedup table of one suite (as ``run_speedup_table`` returns it)."""
+        """The speedup table of one suite (``kernel -> {dataset: speedup}``)."""
         return self.suites[suite].speedups
 
     @property

@@ -47,7 +47,6 @@ __all__ = [
     "resolve_specs",
     "run_cell",
     "run_cells",
-    "run_speedup_table",
     "run_figure",
 ]
 
@@ -290,35 +289,6 @@ def _merge_speedups(
     for row in table.values():
         row["GeoMean"] = geometric_mean(list(row.values()))
     return table
-
-
-def run_speedup_table(
-    datasets: Sequence[str | SpecLike],
-    *,
-    suite: str,
-    workers: int = 1,
-    config: Optional[KernelConfig] = None,
-    device: Optional[DeviceSpec] = None,
-    cpu: Optional[CpuSpec] = None,
-    cost: Optional[CostModel] = None,
-) -> Dict[str, Dict[str, float]]:
-    """Per-dataset speedups over the CPU anchor, sharded over workers.
-
-    Returns ``kernel_name -> {dataset_name: speedup, ..., "GeoMean": g}``
-    for the named ``suite``; kernels are rebuilt in each worker, and the
-    table is bit-identical for every ``workers`` value.
-    """
-    specs = resolve_specs(datasets)
-    origin = _suite_origin(suite)
-    cells = [
-        BenchCell(
-            spec=spec, suite=suite, config=config, device=device, cpu=cpu,
-            cost=cost, suite_origin=origin,
-        )
-        for spec in specs
-    ]
-    results = run_cells(cells, workers=workers)
-    return _merge_speedups(specs, results)
 
 
 def _suite_record(

@@ -41,6 +41,8 @@ from typing import List
 
 import numpy as np
 
+from repro.align.blocks import DEFAULT_BLOCK_SIZE
+
 __all__ = ["DesignPoint", "WorkloadSummary", "PerformanceModel", "DESIGN_LADDER"]
 
 
@@ -103,8 +105,6 @@ class WorkloadSummary:
         termination.
     band_width:
         Band width in cells (shared by all tasks of a dataset).
-    block_size:
-        Cells per block edge.
     threads_per_subwarp / subwarps_per_warp:
         Kernel launch geometry.
     slice_width:
@@ -113,7 +113,6 @@ class WorkloadSummary:
 
     antidiagonals: np.ndarray
     band_width: int
-    block_size: int = 8
     threads_per_subwarp: int = 8
     subwarps_per_warp: int = 4
     slice_width: int = 3
@@ -144,7 +143,7 @@ class PerformanceModel:
     def access_ratios(self, design: DesignPoint, workload: WorkloadSummary) -> dict:
         """The three ``AR`` terms for a design point."""
         design.validate()
-        b = workload.block_size
+        b = DEFAULT_BLOCK_SIZE
         w = workload.band_width
         s = workload.slice_width
         ar_anti = 1.0
@@ -169,7 +168,7 @@ class PerformanceModel:
     def cells_per_task(self, design: DesignPoint, workload: WorkloadSummary) -> np.ndarray:
         """``Cells`` per task: ideal banded cells plus design run-ahead."""
         w = workload.band_width
-        b = workload.block_size
+        b = DEFAULT_BLOCK_SIZE
         t = workload.threads_per_subwarp
         ideal = workload.antidiagonals * w
         if design.sliced_diagonal:

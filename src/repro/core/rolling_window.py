@@ -21,13 +21,15 @@ shared-memory table -- the **local maximum buffer (LMB)** -- laid out as
   (GMB)**, after which the rows are cleared and the window rolls forward.
 
 :class:`RollingWindowTracker` is a functional implementation of exactly
-that protocol.  It is used two ways:
-
-* the unit / property tests drive it with arbitrary cell-completion orders
-  and assert that the GMB ends up identical to the directly-computed
-  anti-diagonal maxima (the correctness claim of Section 4.1);
-* the kernel simulations use its operation counters (shared accesses,
-  reductions, spill writes) as the memory-traffic model of the scheme.
+that protocol and the correctness oracle of Section 4.1.  The unit and
+property tests drive it with arbitrary cell-completion orders, and in the
+sliced-diagonal traversal order with the window that
+:class:`~repro.core.sliced_diagonal.SliceWork` requires, and assert that
+no cell falls outside the window and that the GMB ends up identical to
+the directly computed anti-diagonal maxima.  The kernel simulations do
+not run it: :meth:`repro.kernels.agatha.AgathaKernel.task_workload`
+charges closed-form rolling-window traffic, which differs from this
+tracker's operation counters.
 """
 
 from __future__ import annotations
@@ -53,13 +55,6 @@ class RollingWindowStats:
     global_writes: int = 0
     #: Number of times the window rolled forward.
     rolls: int = 0
-
-    def merge(self, other: "RollingWindowStats") -> None:
-        """Accumulate counts from another tracker (multi-task totals)."""
-        self.shared_accesses += other.shared_accesses
-        self.reductions += other.reductions
-        self.global_writes += other.global_writes
-        self.rolls += other.rolls
 
 
 class RollingWindowTracker:
@@ -97,11 +92,6 @@ class RollingWindowTracker:
         self.stats = RollingWindowStats()
 
     # ------------------------------------------------------------------
-    @property
-    def shared_memory_bytes(self) -> int:
-        """Shared memory footprint of the LMB (4-byte score entries)."""
-        return self.window_rows * self.num_threads * 4
-
     def covers(self, antidiag: int) -> bool:
         """Whether ``antidiag`` currently falls inside the window."""
         return self.window_base <= antidiag < self.window_base + self.window_rows

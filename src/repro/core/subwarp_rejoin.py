@@ -59,14 +59,6 @@ class TaskSliceCosts:
     task_id: int
     slices: List[SliceCost]
 
-    @property
-    def total_compute(self) -> float:
-        return sum(s.compute_thread_cycles for s in self.slices)
-
-    @property
-    def total_fixed(self) -> float:
-        return sum(s.fixed_cycles for s in self.slices)
-
     def latency(self, threads: int) -> float:
         """Latency when one subwarp of ``threads`` processes it alone."""
         return sum(s.latency(threads) for s in self.slices)

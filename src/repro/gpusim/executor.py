@@ -43,14 +43,6 @@ class ExecutionReport:
     occupancy: float
     num_warps: int
 
-    def limited_by(self) -> str:
-        """Which bound determined the reported time."""
-        return (
-            "bandwidth"
-            if self.bandwidth_bound_ms >= self.latency_bound_ms
-            else "latency"
-        )
-
 
 class GpuExecutor:
     """Schedules simulated warps onto one device."""

@@ -234,14 +234,6 @@ class KernelLaunchStats:
             return 1.0
         return float(cycles.max() / cycles.mean())
 
-    def per_task_workloads(self) -> List[TaskWorkload]:
-        """Flatten every task workload in launch order."""
-        out: List[TaskWorkload] = []
-        for warp in self.warps:
-            for sw in warp.subwarps:
-                out.extend(sw.workloads)
-        return out
-
     def summary(self) -> dict:
         """Dictionary summary used by the benchmark reporters."""
         traffic = self.total_traffic

@@ -118,8 +118,12 @@ def minimizers(seq: np.ndarray, k: int = 11, w: int = 5) -> List[Minimizer]:
     """(w, k)-minimizers of an encoded sequence.
 
     In every window of ``w`` consecutive k-mers the k-mer with the smallest
-    hash is sampled (ties resolved to the leftmost), de-duplicating
-    positions sampled by overlapping windows.
+    hash is sampled, de-duplicating positions sampled by overlapping
+    windows.  Ties follow two rules, and every seeded workload's tasks
+    depend on both: a sequence of more than ``w`` k-mers keeps each
+    window's *rightmost* smallest k-mer (the monotone deque pops on
+    ``>=``), while a sequence of at most ``w`` k-mers -- one window --
+    keeps its *leftmost* one (``np.argmin``).
     """
     if k <= 0 or w <= 0:
         raise ValueError("k and w must be positive")

@@ -130,7 +130,7 @@ class AgathaKernel(GuidedKernel):
     ) -> TaskWorkload:
         grid = self._block_grid(profile)
         schedule = self._schedule(grid)
-        block_cells = self.config.block_size * self.config.block_size
+        block_cells = grid.block_size * grid.block_size
         threads = self.config.subwarp_size
         band = profile.geometry.band_width or profile.geometry.ref_len
 
@@ -155,7 +155,7 @@ class AgathaKernel(GuidedKernel):
                 # horizontal chunk pass, so partial maxima spill to the GMB
                 # and must be re-read and re-merged on the next pass.  The
                 # spill of a 3*block_size window only partially coalesces.
-                open_per_pass = band + threads * self.config.block_size
+                open_per_pass = band + threads * grid.block_size
                 traffic.global_writes += num_steps * open_per_pass / 4.0
                 traffic.global_reads += num_steps * open_per_pass / 4.0
         else:

@@ -52,14 +52,11 @@ class KernelConfig:
     subwarp_size:
         Threads per subwarp (8 in AGAThA's default configuration; the
         Section 5.7 study sweeps 8/16/32).
-    block_size:
-        Cells per block edge (8, from the 4-bit input packing).
     slice_width:
         Sliced-diagonal slice width in blocks (AGAThA settles on 3).
     """
 
     subwarp_size: int = 8
-    block_size: int = 8
     slice_width: int = 3
 
     def replace(self, **changes) -> "KernelConfig":
@@ -217,7 +214,7 @@ class GuidedKernel:
     # shared helpers for subclasses
     # ------------------------------------------------------------------
     def _block_grid(self, profile: AlignmentProfile) -> BlockGrid:
-        return BlockGrid(profile.geometry, self.config.block_size)
+        return BlockGrid(profile.geometry)
 
     @staticmethod
     def _sequence_read_traffic(profile: AlignmentProfile, blocks: float) -> float:

@@ -72,7 +72,7 @@ class SALoBaKernel(GuidedKernel):
     ) -> TaskWorkload:
         grid = self._block_grid(profile)
         schedule = HorizontalChunkSchedule(grid, self.config.subwarp_size)
-        block_cells = self.config.block_size * self.config.block_size
+        block_cells = grid.block_size * grid.block_size
         band = profile.geometry.band_width or profile.geometry.ref_len
 
         if self.target == "mm2":

@@ -13,7 +13,7 @@ The module provides the small pieces every figure reproduction needs:
 * :func:`geometric_mean` -- the paper's aggregation of speedups.
 
 Speedup tables come from the sharded runner
-(:func:`repro.bench.runner.run_speedup_table` / ``run_figure``); kernel
+(``run_figure(...).speedup_table(suite)``, :mod:`repro.bench.runner`); kernel
 line-ups, workload scoring and suite comparisons live behind the
 :mod:`repro.api` registries and :class:`repro.api.Session` (see
 DESIGN.md, "The public API layer").

@@ -45,8 +45,9 @@ class TestRowRange:
 
     def test_out_of_range_antidiag_empty(self):
         geom = BandGeometry(5, 5, 3)
-        assert geom.cells_on(-1) == 0
-        assert geom.cells_on(100) == 0
+        for c in (-1, 100):
+            j_lo, j_hi = geom.row_range(c)
+            assert j_lo > j_hi
 
 
 class TestCellCounts:
@@ -64,15 +65,11 @@ class TestCellCounts:
         )
         assert geom.total_cells == expected
 
-    def test_cells_up_to_is_monotone(self):
-        geom = BandGeometry(15, 15, 7)
-        values = [geom.cells_up_to(c) for c in range(geom.num_antidiagonals)]
-        assert values == sorted(values)
-        assert values[-1] == geom.total_cells
-
     def test_cells_in_row_prefix(self):
         geom = BandGeometry(30, 20, 9)
-        total = sum(geom.cells_in_rows(j, j) for j in range(10))
+        total = sum(
+            1 for i in range(30) for j in range(10) if geom.in_band(i, j)
+        )
         assert geom.cells_in_row_prefix(10) == total
         assert geom.cells_in_row_prefix(0) == 0
         assert geom.cells_in_row_prefix(10_000) == geom.total_cells

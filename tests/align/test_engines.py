@@ -151,5 +151,4 @@ class TestProfile:
         profile = antidiagonal_align(ref, query, small_scheme, return_profile=True)
         assert profile.cells_per_antidiag.sum() == profile.result.cells_computed
         assert len(profile.antidiag_maxima) == profile.result.antidiagonals_processed
-        assert profile.total_band_cells >= profile.result.cells_computed
-        assert profile.workload_blocks() >= 1
+        assert profile.geometry.total_cells >= profile.result.cells_computed

@@ -26,16 +26,6 @@ class TestScoringScheme:
             for b in range(5):
                 assert m[a, b] == s.score(a, b)
 
-    def test_gap_cost(self):
-        s = ScoringScheme(gap_open=4, gap_extend=2)
-        assert s.gap_cost(0) == 0
-        assert s.gap_cost(1) == 6
-        assert s.gap_cost(3) == 10
-
-    def test_gap_cost_negative_length(self):
-        with pytest.raises(ValueError):
-            ScoringScheme().gap_cost(-1)
-
     def test_guiding_flags(self):
         assert not ScoringScheme().has_banding
         assert not ScoringScheme().has_termination

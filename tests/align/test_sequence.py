@@ -12,7 +12,6 @@ from repro.align.sequence import (
     encode,
     mutate,
     random_sequence,
-    reverse_complement,
 )
 
 
@@ -120,13 +119,3 @@ class TestMutate:
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError):
             mutate(random_sequence(10, rng), rng, max_indel_length=0)
-
-
-class TestReverseComplement:
-    def test_simple(self):
-        assert decode(reverse_complement(encode("ACGTN"))) == "NACGT"
-
-    def test_involution(self):
-        rng = np.random.default_rng(6)
-        seq = random_sequence(123, rng)
-        assert np.array_equal(reverse_complement(reverse_complement(seq)), seq)

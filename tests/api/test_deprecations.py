@@ -9,6 +9,7 @@ After that release it is deleted.
 Currently shimmed: none.
 """
 
+import importlib
 import inspect
 import warnings
 
@@ -92,10 +93,11 @@ class TestRetiredShims:
         [
             lambda: KernelConfig(batch_bucket_size=64),
             lambda: KernelConfig(tasks_per_subwarp=1),
+            lambda: KernelConfig(block_size=8),
             lambda: ServeConfig(batch_size=64),
         ],
         ids=["KernelConfig.batch_bucket_size", "KernelConfig.tasks_per_subwarp",
-             "ServeConfig.batch_size"],
+             "KernelConfig.block_size", "ServeConfig.batch_size"],
     )
     def test_retired_config_fields_are_gone(self, make):
         # Engine tuning reaches engines only through EngineOptions.
@@ -113,7 +115,6 @@ class TestRetiredShims:
         [
             Session,
             runner.run_figure,
-            runner.run_speedup_table,
             LoadGenerator.from_dataset,
             runner.BenchCell,
         ],
@@ -132,6 +133,20 @@ class TestRetiredShims:
 
     def test_runner_suites_alias_is_gone(self):
         assert not hasattr(runner, "SUITES")
+
+    def test_run_speedup_table_is_gone(self):
+        # run_figure(..., suites=(s,)).speedup_table(s) is the one path.
+        with pytest.raises(AttributeError):
+            getattr(repro.bench, "run_speedup_table")
+        assert not hasattr(runner, "run_speedup_table")
+
+    def test_packing_module_is_gone(self):
+        with pytest.raises(ImportError):
+            from repro.align import pack_sequence  # noqa: F401
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.align.packing")
+        for name in ("unpack_sequence", "PackedSequence"):
+            assert not hasattr(importlib.import_module("repro.align"), name)
 
     @pytest.mark.parametrize(
         "main, argv",

@@ -4,18 +4,14 @@ Acceptance property of the API layer: on the Figure-8 workloads,
 ``Session.align/simulate/compare/run_figure`` must produce bit-identical
 scores, launch stats and BENCH records versus calling the shared
 implementations directly (``align_tasks``, ``GuidedKernel.simulate``,
-``compare_suite``, ``run_figure``, ``run_speedup_table``), and the bench
+``compare_suite``, ``run_figure``), and the bench
 runner must build its cells from the shared suite registry.
 """
 
 import pytest
 
 from repro.api import Session, align_tasks, build_suite, compare_suite, get_suite
-from repro.bench.runner import (
-    build_suite as runner_build_suite,
-    run_figure,
-    run_speedup_table,
-)
+from repro.bench.runner import build_suite as runner_build_suite, run_figure
 from repro.kernels import AgathaKernel
 from repro.pipeline.experiment import dataset_tasks, scaled_hardware
 
@@ -90,11 +86,6 @@ class TestRunFigureEquivalence:
         for name, suite in legacy_record.suites.items():
             # Full per-suite payload: cells, CPU anchors, speedup tables.
             assert fresh_record.suites[name].to_dict() == suite.to_dict()
-
-    def test_record_speedups_match_legacy_speedup_table(self, session):
-        record = session.run_figure("quick", suites=("mm2",))
-        table = run_speedup_table([DATASET], suite="mm2")
-        assert record.speedup_table("mm2") == table
 
 
 class TestSharedRegistry:

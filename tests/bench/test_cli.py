@@ -1,6 +1,6 @@
 """The ``python -m repro.bench`` command line, including the acceptance
-property: a sharded CLI run's record is bit-identical to the serial
-``run_speedup_table`` output for the same datasets and suite."""
+property: a sharded CLI run's record is bit-identical to a serial
+``run_figure`` run over the same datasets and suite."""
 
 import json
 import os
@@ -12,7 +12,7 @@ import pytest
 
 from repro.bench.cli import main
 from repro.bench.records import BenchRecord
-from repro.bench.runner import run_speedup_table
+from repro.bench.runner import run_figure
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -24,7 +24,7 @@ class TestRunMode:
         name = "ONT-HG002"
         # Serial reference first: it fills the in-process task memo, which
         # fork-started pool workers inherit (spawned ones rebuild it).
-        expected = run_speedup_table([name], suite="mm2")
+        expected = run_figure("quick", datasets=[name], suites=("mm2",)).speedup_table("mm2")
 
         out = tmp_path / "BENCH_quick.json"
         code = main(

@@ -11,7 +11,6 @@ from repro.bench.runner import (
     run_cell,
     run_cells,
     run_figure,
-    run_speedup_table,
 )
 from repro.io.datasets import DATASET_REGISTRY
 from repro.kernels import KernelConfig
@@ -49,14 +48,15 @@ class TestSuites:
 class TestDeterminism:
     def test_parallel_equals_serial_bitwise(self, tiny_specs):
         """The acceptance property: sharding must not change a single bit."""
-        serial = run_speedup_table(tiny_specs, suite="mm2", workers=1)
-        parallel = run_speedup_table(tiny_specs, suite="mm2", workers=2)
-        assert serial == parallel  # exact float equality, GeoMean included
+        serial = run_figure("quick", datasets=tiny_specs, suites=("mm2",), workers=1)
+        parallel = run_figure("quick", datasets=tiny_specs, suites=("mm2",), workers=2)
+        # Exact float equality: cells, CPU anchors and speedups, GeoMean included.
+        assert serial.suites["mm2"].to_dict() == parallel.suites["mm2"].to_dict()
 
     def test_repeated_parallel_runs_identical(self, tiny_specs):
-        first = run_speedup_table(tiny_specs, suite="ablation", workers=2)
-        second = run_speedup_table(tiny_specs, suite="ablation", workers=2)
-        assert first == second
+        first = run_figure("quick", datasets=tiny_specs, suites=("ablation",), workers=2)
+        second = run_figure("quick", datasets=tiny_specs, suites=("ablation",), workers=2)
+        assert first.suites["ablation"].to_dict() == second.suites["ablation"].to_dict()
 
 
 class TestValidation:
@@ -88,11 +88,6 @@ class TestRecords:
                 cpu_ms = suite.cpu_time_ms[cell.dataset]
                 assert cell.speedup_vs_cpu == pytest.approx(cpu_ms / cell.time_ms)
                 assert cell.cells > 0
-
-    def test_record_speedups_match_run_speedup_table(self, tiny_specs):
-        record = run_figure("quick", datasets=tiny_specs, suites=("mm2",))
-        table = run_speedup_table(tiny_specs, suite="mm2", workers=1)
-        assert record.speedup_table("mm2") == table
 
     def test_progress_callback(self, tiny_spec):
         seen = []

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align.antidiagonal import antidiagonal_align
+from repro.align.banding import BandGeometry
+from repro.align.blocks import BlockGrid
 from repro.align.scoring import preset
 from repro.align.sequence import mutate, random_sequence
 from repro.align.termination import NEG_INF
 from repro.core.rolling_window import RollingWindowTracker
+from repro.core.sliced_diagonal import SlicedDiagonalSchedule
 
 
 class TestBasics:
@@ -54,10 +57,6 @@ class TestBasics:
         assert rw.stats.reductions == 2
         assert rw.stats.global_writes == 2
         assert rw.stats.rolls == 1
-
-    def test_shared_memory_footprint(self):
-        rw = RollingWindowTracker(num_threads=8, window_rows=24, num_antidiagonals=100)
-        assert rw.shared_memory_bytes == 24 * 8 * 4
 
 
 class TestEquivalenceWithDirectMaxima:
@@ -116,3 +115,57 @@ class TestEquivalenceWithDirectMaxima:
         rw.flush()
         got = rw.antidiagonal_maxima()
         assert np.array_equal(got, profile.antidiag_maxima)
+
+
+class TestSlicedDiagonalOrder:
+    @given(
+        n=st.integers(10, 149),
+        m=st.integers(10, 149),
+        w=st.integers(0, 33),
+        slice_width=st.integers(1, 6),
+        threads=st.sampled_from([2, 4, 8]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sliced_traversal_stays_inside_the_window(
+        self, n, m, w, slice_width, threads, seed
+    ):
+        """Recording cells in the sliced-diagonal visit order, with the
+        window ``SliceWork`` requires and a spill up to each slice's
+        completed anti-diagonals at every slice boundary, never records
+        outside the window and reproduces the per-anti-diagonal maxima
+        (the Section 4.1 claim on the Section 4.2 traversal)."""
+        geom = BandGeometry(n, m, w)
+        grid = BlockGrid(geom)
+        sched = SlicedDiagonalSchedule(grid, slice_width, threads)
+        work = sched.all_slices()
+        values = np.random.default_rng(seed).integers(-1000, 1000, size=(n, m))
+        i, j = np.meshgrid(np.arange(n), np.arange(m), indexing="ij")
+        in_band = (i - j >= geom.diag_lo) & (i - j <= geom.diag_hi)
+        expected = np.full(geom.num_antidiagonals, NEG_INF, dtype=np.int64)
+        np.maximum.at(expected, (i + j)[in_band], values[in_band])
+
+        rw = RollingWindowTracker(
+            threads, work[0].window_rows_required, geom.num_antidiagonals
+        )
+
+        def roll_to(antidiag):
+            while rw.window_base < antidiag:
+                rw.spill(min(rw.window_rows, antidiag - rw.window_base))
+
+        current = 0
+        b = grid.block_size
+        for s, _, _, thread, (bi, bj) in sched.traversal():
+            if s != current:
+                roll_to(work[s - 1].completed_cell_antidiagonals)
+                current = s
+            for ci in range(bi * b, min(bi * b + b, n)):
+                for cj in range(bj * b, min(bj * b + b, m)):
+                    if in_band[ci, cj]:
+                        # Raises ValueError for a cell outside the window.
+                        rw.record(thread, ci + cj, int(values[ci, cj]))
+        roll_to(work[-1].completed_cell_antidiagonals)
+        # The last slice's completed count can stop short of the table's
+        # last anti-diagonals; spill them at the end of the task.
+        roll_to(geom.num_antidiagonals)
+        assert np.array_equal(rw.antidiagonal_maxima(), expected)

@@ -43,7 +43,7 @@ class TestSlicedDiagonalCoverage:
     def test_block_totals_match_grid(self):
         grid = BlockGrid(BandGeometry(160, 150, 33), 8)
         sched = SlicedDiagonalSchedule(grid, 3, 8)
-        assert sum(sl.blocks for sl in sched.all_slices()) == grid.total_in_band_blocks
+        assert sum(sl.blocks for sl in sched.all_slices()) == len(in_band_blocks(grid))
 
     def test_slice_width_validation(self):
         grid = BlockGrid(BandGeometry(16, 16, 5), 8)
@@ -80,7 +80,7 @@ class TestHorizontalChunkSchedule:
     def test_block_totals_match_grid(self):
         grid = BlockGrid(BandGeometry(160, 150, 33), 8)
         sched = HorizontalChunkSchedule(grid, 8)
-        assert sum(sl.blocks for sl in sched.all_slices()) == grid.total_in_band_blocks
+        assert sum(sl.blocks for sl in sched.all_slices()) == len(in_band_blocks(grid))
 
     def test_runahead_larger_than_sliced_diagonal(self):
         """The baseline traversal computes strictly more cells before the
@@ -109,7 +109,7 @@ class TestHorizontalChunkSchedule:
         huge = SlicedDiagonalSchedule(grid, grid.num_block_antidiagonals, 8)
         assert huge.num_slices == 1
         blocks = sum(s.blocks for s in huge.work_until_termination(100))
-        assert blocks == grid.total_in_band_blocks
+        assert blocks == len(in_band_blocks(grid))
 
 
 class TestSliceRanges:

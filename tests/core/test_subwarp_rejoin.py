@@ -59,7 +59,9 @@ class TestWithRejoin:
         ]
         base = sim.simulate_without_rejoin(queues)
         rejoined = sim.simulate_with_rejoin(queues)
-        total_compute = sum(t.total_compute for q in queues for t in q)
+        total_compute = sum(
+            s.compute_thread_cycles for q in queues for t in q for s in t.slices
+        )
         pooled_lower_bound = total_compute / (8 * 4)
         assert rejoined.warp_cycles >= pooled_lower_bound
         assert rejoined.warp_cycles <= base.warp_cycles

@@ -53,7 +53,7 @@ class TestExecute:
         ex = GpuExecutor(DEVICE)
         stats = make_stats([1e6, 1e6])
         report = ex.execute(stats)
-        assert report.limited_by() == "latency"
+        assert report.latency_bound_ms > report.bandwidth_bound_ms
         assert stats.time_ms == pytest.approx(report.time_ms)
         assert stats.time_ms == pytest.approx(DEVICE.cycles_to_ms(1e6))
 
@@ -61,7 +61,7 @@ class TestExecute:
         ex = GpuExecutor(DEVICE)
         stats = make_stats([10.0], traffic_words=1e9)  # 4 GB over 1 GB/s
         report = ex.execute(stats)
-        assert report.limited_by() == "bandwidth"
+        assert report.bandwidth_bound_ms >= report.latency_bound_ms
         assert report.time_ms > 1000.0
 
     def test_occupancy_bounded(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.align.scoring import preset
-from repro.align.sequence import random_sequence
+from repro.align.sequence import encode, random_sequence
 from repro.io.seed_chain import (
     Anchor,
     MinimizerIndex,
@@ -43,6 +43,16 @@ class TestMinimizers:
     def test_validation(self, rng):
         with pytest.raises(ValueError):
             minimizers(random_sequence(10, rng), k=0)
+
+    def test_ties_keep_each_windows_rightmost_kmer(self):
+        # Six equal k-mers, two windows of five: the deque pops on >=.
+        positions = [m.position for m in minimizers(encode("A" * 16), k=11, w=5)]
+        assert positions == [4, 5]
+
+    def test_ties_in_a_single_window_keep_the_leftmost_kmer(self):
+        # Five equal k-mers fit one window, which np.argmin samples.
+        positions = [m.position for m in minimizers(encode("A" * 15), k=11, w=5)]
+        assert positions == [0]
 
 
 class TestIndexAndAnchors:

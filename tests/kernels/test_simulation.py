@@ -47,7 +47,12 @@ class TestBasicInvariants:
 
     def test_every_task_appears_once(self, task_batch):
         stats = simulate(AgathaKernel(), task_batch)
-        task_ids = sorted(w.task_id for w in stats.per_task_workloads())
+        task_ids = sorted(
+            wl.task_id
+            for warp in stats.warps
+            for sw in warp.subwarps
+            for wl in sw.workloads
+        )
         assert task_ids == sorted(t.task_id for t in task_batch)
 
     def test_empty_task_list(self):
@@ -116,8 +121,10 @@ class TestDirectionalClaims:
     def test_cells_at_least_ideal(self, task_batch):
         for factory in (BaselineExactKernel, AgathaKernel):
             stats = simulate(factory(), task_batch)
-            for wl in stats.per_task_workloads():
-                assert wl.cells >= wl.ideal_cells * 0.99
+            for warp in stats.warps:
+                for sw in warp.subwarps:
+                    for wl in sw.workloads:
+                        assert wl.cells >= wl.ideal_cells * 0.99
 
 
 class TestDeviceSensitivity:
