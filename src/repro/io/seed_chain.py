@@ -14,7 +14,7 @@ kilobase-scale gaps.
 This module implements that pre-computation:
 
 * :func:`minimizers` -- (w, k) minimizer sampling of a sequence;
-* :class:`MinimizerIndex` -- a hash index of the reference minimizers;
+* :class:`MinimizerIndex` -- a sorted-array index of the reference minimizers;
 * :func:`chain_anchors` -- greedy colinear chaining of anchor hits by
   diagonal binning (a faithful, if simplified, stand-in for Minimap2's
   dynamic-programming chainer);
@@ -26,7 +26,7 @@ This module implements that pre-computation:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class Chain:
 
     @property
     def query_span(self) -> tuple[int, int]:
-        """Query range covered by the chain (first anchor start, last end)."""
+        """Query starts of the first and last anchors (add ``k`` for the end)."""
         return (self.anchors[0].query_pos, self.anchors[-1].query_pos)
 
     @property
@@ -93,99 +93,125 @@ class Chain:
 # ----------------------------------------------------------------------
 # minimizer sampling
 # ----------------------------------------------------------------------
+#: Largest k whose base-5 packing fits a uint64 (``5**27 < 2**64 < 5**28``).
+_MAX_K = 27
+
+
 def _kmer_hashes(seq: np.ndarray, k: int) -> np.ndarray:
-    """Invertible integer hashes of every k-mer (vectorised rolling encode)."""
+    """Integer hashes of every k-mer (vectorised rolling encode).
+
+    Each k-mer is packed in base 5, first base most significant, which is
+    injective for ``k <= _MAX_K``; beyond that the packing wraps modulo
+    ``2**64`` and distinct k-mers collide.  The packed value is then
+    scrambled by a splitmix64-style mix, a bijection on uint64, so
+    minimizer sampling is not biased toward poly-A runs.
+    """
     n = seq.size - k + 1
     if n <= 0:
         return np.empty(0, dtype=np.uint64)
-    # Pack the k-mer into an integer base-5 representation, then scramble it
-    # with a splitmix64-style mix so minimizer sampling is not biased toward
-    # poly-A runs.
     values = np.zeros(n, dtype=np.uint64)
     for offset in range(k):
         values = values * np.uint64(5) + seq[offset : offset + n].astype(np.uint64)
     values ^= values >> np.uint64(30)
     values *= np.uint64(0xBF58476D1CE4E5B9)
-    values &= np.uint64(0xFFFFFFFFFFFFFFFF)
     values ^= values >> np.uint64(27)
     values *= np.uint64(0x94D049BB133111EB)
-    values &= np.uint64(0xFFFFFFFFFFFFFFFF)
     values ^= values >> np.uint64(31)
     return values
 
 
-def minimizers(seq: np.ndarray, k: int = 11, w: int = 5) -> List[Minimizer]:
-    """(w, k)-minimizers of an encoded sequence.
-
-    In every window of ``w`` consecutive k-mers the k-mer with the smallest
-    hash is sampled, de-duplicating positions sampled by overlapping
-    windows.  Ties follow two rules, and every seeded workload's tasks
-    depend on both: a sequence of more than ``w`` k-mers keeps each
-    window's *rightmost* smallest k-mer (the monotone deque pops on
-    ``>=``), while a sequence of at most ``w`` k-mers -- one window --
-    keeps its *leftmost* one (``np.argmin``).
-    """
+def _minimizer_arrays(seq: np.ndarray, k: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (ascending) and hashes (uint64) of the minimizers."""
     if k <= 0 or w <= 0:
         raise ValueError("k and w must be positive")
-    seq = np.asarray(seq, dtype=np.uint8)
-    hashes = _kmer_hashes(seq, k)
+    if k > _MAX_K:
+        raise ValueError(f"k must be at most {_MAX_K}, or distinct k-mers share a hash")
+    hashes = _kmer_hashes(np.asarray(seq, dtype=np.uint8), k)
     n = hashes.size
-    if n == 0:
-        return []
-    out: List[Minimizer] = []
-    last_pos = -1
     if n <= w:
-        pos = int(np.argmin(hashes))
-        return [Minimizer(position=pos, hash_value=int(hashes[pos]))]
-    # Sliding-window minimum via a monotone deque.
-    from collections import deque
+        # One window (or none): its leftmost smallest hash.
+        positions = np.argmin(hashes, keepdims=True) if n else np.empty(0, np.intp)
+        return positions, hashes[positions]
+    # Window s spans k-mers [s, s + w); argmin over the reversed window
+    # finds its rightmost smallest hash.  The picks never decrease, so
+    # overlapping windows repeat a pick only in runs.
+    view = np.lib.stride_tricks.sliding_window_view(hashes, w)
+    picks = np.arange(n - w + 1) + (w - 1 - np.argmin(view[:, ::-1], axis=1))
+    keep = np.ones(picks.size, dtype=bool)
+    keep[1:] = picks[1:] != picks[:-1]
+    positions = picks[keep]
+    return positions, hashes[positions]
 
-    dq: deque[int] = deque()
-    for i in range(n):
-        while dq and hashes[dq[-1]] >= hashes[i]:
-            dq.pop()
-        dq.append(i)
-        window_start = i - w + 1
-        if window_start < 0:
-            continue
-        while dq[0] < window_start:
-            dq.popleft()
-        pos = dq[0]
-        if pos != last_pos:
-            out.append(Minimizer(position=pos, hash_value=int(hashes[pos])))
-            last_pos = pos
-    return out
+
+def minimizers(seq: np.ndarray, k: int = 11, w: int = 5) -> List[Minimizer]:
+    """(w, k)-minimizers of an encoded sequence, in position order.
+
+    In every window of ``w`` consecutive k-mers the k-mer with the smallest
+    hash is sampled, and a position sampled by several overlapping windows
+    is kept once.  Ties follow two rules, and every seeded workload's
+    tasks depend on both.  A sequence of more than ``w`` k-mers keeps each
+    window's *rightmost* smallest k-mer (``w - 1 - argmin`` over the
+    reversed window); a sequence of at most ``w`` k-mers -- one window --
+    keeps its *leftmost* one (``argmin``).  ``k`` may be at most 27, the
+    largest k-mer that packs into a uint64 without collisions.
+
+    >>> from repro.align.sequence import encode
+    >>> [m.position for m in minimizers(encode("A" * 16), k=11, w=5)]
+    [4, 5]
+    >>> [m.position for m in minimizers(encode("A" * 15), k=11, w=5)]
+    [0]
+    """
+    positions, hashes = _minimizer_arrays(seq, k, w)
+    return [
+        Minimizer(position=p, hash_value=h)
+        for p, h in zip(positions.tolist(), hashes.tolist())
+    ]
 
 
 class MinimizerIndex:
-    """Hash index of a reference sequence's minimizers."""
+    """Sorted-array index of a reference sequence's minimizers.
+
+    The reference minimizers are held as two parallel arrays, hashes and
+    positions, stably sorted by hash: the positions sharing a hash form
+    one contiguous, ascending run, which ``searchsorted`` finds.
+    """
 
     def __init__(self, reference: np.ndarray, k: int = 11, w: int = 5):
         self.k = k
         self.w = w
         self.reference = np.asarray(reference, dtype=np.uint8)
-        self._table: Dict[int, List[int]] = {}
-        for m in minimizers(self.reference, k=k, w=w):
-            self._table.setdefault(m.hash_value, []).append(m.position)
+        positions, hashes = _minimizer_arrays(self.reference, k, w)
+        order = np.argsort(hashes, kind="stable")
+        self._hashes = hashes[order]
+        self._positions = positions[order]
 
-    def lookup(self, hash_value: int) -> Sequence[int]:
-        """Reference positions whose minimizer has this hash."""
-        return self._table.get(hash_value, ())
+    def lookup(self, hash_value: int) -> List[int]:
+        """Reference positions whose minimizer has this hash, ascending."""
+        key = np.uint64(hash_value)
+        lo = np.searchsorted(self._hashes, key, side="left")
+        hi = np.searchsorted(self._hashes, key, side="right")
+        return self._positions[lo:hi].tolist()
 
     def anchors(self, query: np.ndarray, max_hits: int = 16) -> List[Anchor]:
-        """Anchor hits of a query against the index.
+        """Anchor hits of a query against the index, by (query, ref) position.
 
         Minimizers occurring at more than ``max_hits`` reference positions
         are treated as repetitive and skipped (Minimap2's ``-f`` filter).
         """
-        out: List[Anchor] = []
-        for m in minimizers(np.asarray(query, dtype=np.uint8), k=self.k, w=self.w):
-            hits = self.lookup(m.hash_value)
-            if 0 < len(hits) <= max_hits:
-                for ref_pos in hits:
-                    out.append(Anchor(query_pos=m.position, ref_pos=ref_pos))
-        out.sort(key=lambda a: (a.query_pos, a.ref_pos))
-        return out
+        query_pos, hashes = _minimizer_arrays(query, self.k, self.w)
+        lo = np.searchsorted(self._hashes, hashes, side="left")
+        hits = np.searchsorted(self._hashes, hashes, side="right") - lo
+        kept = (hits > 0) & (hits <= max_hits)
+        lo, hits, query_pos = lo[kept], hits[kept], query_pos[kept]
+        # Hit j of kept minimizer i is sorted entry lo[i] + j.  Query
+        # positions ascend and each run's reference positions ascend, so
+        # the anchors come out in (query, ref) order.
+        starts = np.repeat(lo - (np.cumsum(hits) - hits), hits)
+        ref_pos = self._positions[starts + np.arange(starts.size)]
+        return [
+            Anchor(query_pos=q, ref_pos=r)
+            for q, r in zip(np.repeat(query_pos, hits).tolist(), ref_pos.tolist())
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -1,20 +1,92 @@
 """Tests for minimizer seeding, chaining and extension-task extraction."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.align.scoring import preset
 from repro.align.sequence import encode, random_sequence
 from repro.io.seed_chain import (
     Anchor,
     MinimizerIndex,
+    Minimizer,
     Chain,
+    _kmer_hashes,
     chain_anchors,
     extension_tasks_for_read,
     minimizers,
 )
 
 SCHEME = preset("map-ont", band_width=33, zdrop=100)
+
+
+def reference_minimizers(seq, k, w):
+    """The sliding-window minimum as a monotone-deque loop over every k-mer.
+
+    The deque pops on ``>=``, so each window keeps its rightmost smallest
+    hash; a sequence of at most ``w`` k-mers keeps its leftmost one.
+    """
+    hashes = _kmer_hashes(np.asarray(seq, dtype=np.uint8), k)
+    n = hashes.size
+    if n == 0:
+        return []
+    if n <= w:
+        pos = int(np.argmin(hashes))
+        return [Minimizer(position=pos, hash_value=int(hashes[pos]))]
+    out = []
+    last_pos = -1
+    dq = deque()
+    for i in range(n):
+        while dq and hashes[dq[-1]] >= hashes[i]:
+            dq.pop()
+        dq.append(i)
+        window_start = i - w + 1
+        if window_start < 0:
+            continue
+        while dq[0] < window_start:
+            dq.popleft()
+        pos = dq[0]
+        if pos != last_pos:
+            out.append(Minimizer(position=pos, hash_value=int(hashes[pos])))
+            last_pos = pos
+    return out
+
+
+def reference_table(reference, k, w):
+    """Dict-of-lists index: hash -> reference positions in sampling order."""
+    table = {}
+    for m in reference_minimizers(reference, k, w):
+        table.setdefault(m.hash_value, []).append(m.position)
+    return table
+
+
+def reference_anchors(table, query, k, w, max_hits):
+    out = []
+    for m in reference_minimizers(query, k, w):
+        hits = table.get(m.hash_value, [])
+        if 0 < len(hits) <= max_hits:
+            out.extend(Anchor(query_pos=m.position, ref_pos=r) for r in hits)
+    return sorted(out, key=lambda a: (a.query_pos, a.ref_pos))
+
+
+@st.composite
+def coded_sequences(draw, max_size):
+    """Encoded sequences over 1-5 codes; small alphabets force hash ties."""
+    alphabet = draw(st.integers(1, 5))
+    codes = draw(st.lists(st.integers(0, alphabet - 1), max_size=max_size))
+    return np.array(codes, dtype=np.uint8)
+
+
+@st.composite
+def tandem_repeats(draw):
+    """A reference with a tandem repeat between random flanks."""
+    unit = draw(coded_sequences(max_size=24).filter(lambda u: u.size > 0))
+    count = draw(st.integers(2, 12))
+    flanks = [draw(coded_sequences(max_size=60)) for _ in range(2)]
+    return np.concatenate([flanks[0], np.tile(unit, count), flanks[1]]), count
 
 
 class TestMinimizers:
@@ -53,6 +125,87 @@ class TestMinimizers:
         # Five equal k-mers fit one window, which np.argmin samples.
         positions = [m.position for m in minimizers(encode("A" * 15), k=11, w=5)]
         assert positions == [0]
+
+
+class TestSamplingOracle:
+    """The array sampler and sorted-array index equal the loop and dict."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seq=coded_sequences(max_size=150),
+        k=st.integers(1, 13),
+        w=st.integers(1, 12),
+    )
+    def test_minimizers_equal_the_deque_loop(self, seq, k, w):
+        sampled = minimizers(seq, k=k, w=w)
+        assert sampled == reference_minimizers(seq, k, w)
+        assert all(
+            type(m.position) is int and type(m.hash_value) is int for m in sampled
+        )
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        reference=tandem_repeats(),
+        k=st.integers(1, 13),
+        w=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_index_equals_the_dict_of_lists(self, reference, k, w, data):
+        reference, count = reference
+        index = MinimizerIndex(reference, k=k, w=w)
+        table = reference_table(reference, k, w)
+        for hash_value, positions in table.items():
+            assert index.lookup(hash_value) == positions
+        for missing in (0, 2**63, 2**64 - 1):
+            if missing not in table:
+                assert index.lookup(missing) == []
+        start = data.draw(st.integers(0, reference.size))
+        stop = data.draw(st.integers(start, reference.size))
+        read = reference[start:stop]
+        # 0 < hits <= max_hits: a hash found once per repeat unit sits on
+        # the boundary between count and count + 1.
+        for max_hits in (1, count, count + 1):
+            assert index.anchors(read, max_hits=max_hits) == reference_anchors(
+                table, read, k, w, max_hits
+            )
+
+
+def _balanced_base5(value, digits):
+    """Digits in -2..2 of ``value``, most significant first."""
+    out = []
+    for _ in range(digits):
+        digit = (value + 2) % 5 - 2
+        out.append(digit)
+        value = (value - digit) // 5
+    assert value == 0
+    return out[::-1]
+
+
+class TestKmerLength:
+    """Base-5 packing is injective only while 5**k fits in a uint64."""
+
+    def _colliding_28mers(self):
+        # a - b == 2**64 in base 5, with every digit of a and b in 0..2
+        # (A, C, G), so both pack to the same uint64.
+        digits = _balanced_base5(2**64, 28)
+        a = np.array([max(d, 0) for d in digits], dtype=np.uint8)
+        b = np.array([max(-d, 0) for d in digits], dtype=np.uint8)
+        return a, b
+
+    def test_28mers_collide(self):
+        a, b = self._colliding_28mers()
+        assert not np.array_equal(a, b)
+        assert _kmer_hashes(a, 28)[0] == _kmer_hashes(b, 28)[0]
+        assert _kmer_hashes(a[1:], 27)[0] != _kmer_hashes(b[1:], 27)[0]
+
+    def test_k_above_27_is_rejected(self):
+        a, b = self._colliding_28mers()
+        for seq in (a, b):
+            with pytest.raises(ValueError, match="at most 27"):
+                minimizers(seq, k=28)
+        with pytest.raises(ValueError, match="at most 27"):
+            MinimizerIndex(np.concatenate([a, b]), k=28)
+        assert len(minimizers(a, k=27, w=1)) == 2
 
 
 class TestIndexAndAnchors:
