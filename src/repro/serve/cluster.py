@@ -38,9 +38,15 @@ The pieces, and where the determinism lives:
     parent-side :class:`~repro.serve.queueing.MicroBatcher` queues under
     an :class:`~repro.serve.queueing.AdmissionController` (bounded
     admission: queue / reject / shed), and a credit window keeps each
-    worker's in-flight set bounded so queued work stays sheddable.  A
-    monitor thread per shard watches the worker process; on a crash the
-    stranded queue is pulled back through the existing
+    worker's in-flight set bounded so queued work stays sheddable.  One
+    parent thread runs the cluster: it blocks in
+    :func:`multiprocessing.connection.wait` on each worker's result pipe
+    and process sentinel and on a wake-up pipe, dispatches, fans results
+    out to futures and hands retiring workers their drain sentinel.  A
+    worker sends every message synchronously, so once its process is
+    gone the loop reads its pipe to the end: the worker drained if its
+    final telemetry message arrived, and crashed otherwise.  On a crash
+    the stranded queue is pulled back through the existing
     :meth:`MicroBatcher.preempt` hook and fanned out -- failed fast with
     :class:`ShardFailedError`, or re-queued on surviving shards when
     ``ClusterConfig(retry_failed=True)`` -- and the worker is restarted
@@ -82,6 +88,8 @@ import zlib
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from importlib import import_module
+from multiprocessing import connection
+from multiprocessing.reduction import ForkingPickler
 from typing import (
     Any,
     Callable,
@@ -486,7 +494,7 @@ def cluster_replay(
     re-routed round-robin over the shards alive at the crash (arrival
     clamped to the crash time) when ``config.retry_failed``, or the
     whole replay raises :class:`ShardFailedError`, exactly like the live
-    monitor.  Post-crash arrivals reach the shard's replacement worker
+    cluster.  Post-crash arrivals reach the shard's replacement worker
     when ``config.max_restarts`` allows one, and are routed on to the
     next alive shard otherwise.  Crash/retry/restart never change *what*
     is computed -- only placement and timing -- which is what the chaos
@@ -606,7 +614,7 @@ def cluster_replay(
         ]
         if not (config.retry_failed and targets):
             raise ShardFailedError(shard, exitcode=_CRASH_EXIT_CODE)
-        stranded.sort()  # by trace index: the live monitor's re-route order
+        stranded.sort()  # by trace index: the live cluster's re-route order
         for offset, (index, arrival) in enumerate(stranded):
             target = targets[offset % len(targets)]
             pending[target].append((index, max(arrival, crash_ms)))
@@ -690,28 +698,32 @@ def _resolve_engine(engine: str, origin: Optional[str]) -> None:
     get_engine(engine)
 
 
-def _report_result(
-    result_queue: Any, shard: int, request_id: int, future: "Future[AlignmentResult]"
-) -> None:
-    """Worker-side future callback: ship one outcome to the parent."""
-    exc = future.exception()
+def _outcome(request_id: int, future: "Future[AlignmentResult]") -> memoryview:
+    """One request's outcome as the pickled ``(request_id, result or error)``
+    message a worker sends on its result pipe.
+
+    An error that does not survive a pickle round trip (it holds an
+    unpicklable object, or its ``__init__`` rejects its own ``args``)
+    travels as a :class:`RuntimeError` carrying its ``repr`` -- as does a
+    result that cannot be pickled -- so the parent can always read what a
+    worker sent and the request fails instead of stranding.
+    """
+    error = future.exception()
+    message = (request_id, future.result() if error is None else error)
     try:
-        if exc is not None:
-            result_queue.put(("error", shard, request_id, exc))
-        else:
-            result_queue.put(("result", shard, request_id, future.result()))
-    except Exception as send_error:  # unpicklable payload: degrade, don't strand
-        result_queue.put(
-            ("error", shard, request_id, RuntimeError(repr(exc or send_error)))
-        )
+        payload = ForkingPickler.dumps(message)
+        if error is not None:
+            ForkingPickler.loads(payload)
+    except Exception as failure:
+        payload = ForkingPickler.dumps((request_id, RuntimeError(repr(error or failure))))
+    return payload
 
 
 def _shard_worker(
-    shard: int,
     config: ServeConfig,
     engine_origin: Optional[str],
     task_queue: Any,
-    result_queue: Any,
+    results: Any,
     crash_after: Optional[int] = None,
     delays_after: Tuple[Tuple[int, float], ...] = (),
 ) -> None:
@@ -719,10 +731,14 @@ def _shard_worker(
 
     Messages are ``(request_id, task, priority)`` tuples, a ``None``
     sentinel (drain and exit cleanly), or the crash token (die abruptly
-    -- the chaos hook behind :meth:`ClusterService.fail_shard`).  On a
-    clean exit the worker ships its telemetry sink state home, then an
-    ``("exit", shard)`` marker the parent uses to distinguish shutdown
-    from death.
+    -- the chaos hook behind :meth:`ClusterService.fail_shard`).  Each
+    outcome goes to the parent as one synchronous send on the worker's
+    own ``results`` pipe, under a lock because in drain mode pool threads
+    complete the futures.  The last message of a clean exit is
+    ``(None, telemetry_state)``: the parent reads the pipe to its end
+    once the process is gone, and counts the worker as drained only if
+    that message arrived -- any other exit, including one that cut a
+    message short, is a crash.
 
     ``crash_after`` / ``delays_after`` are the live triggers of a
     :class:`~repro.serve.faults.FaultPlan`: the worker dies abruptly on
@@ -736,6 +752,13 @@ def _shard_worker(
     _resolve_engine(config.engine, engine_origin)
     service = AlignmentService(config)
     service.start()
+    sending = threading.Lock()
+
+    def report(request_id: int, future: "Future[AlignmentResult]") -> None:
+        payload = _outcome(request_id, future)
+        with sending:
+            results.send_bytes(payload)
+
     received = 0
     while True:
         item = task_queue.get()
@@ -752,55 +775,56 @@ def _shard_worker(
                 service.telemetry.record_fault("delays")
                 time.sleep(delay_ms / 1000.0)
         future = service.submit(task)
-        future.add_done_callback(
-            lambda f, rid=request_id: _report_result(result_queue, shard, rid, f)
-        )
+        future.add_done_callback(lambda f, rid=request_id: report(rid, f))
     service.shutdown(wait=True)
-    result_queue.put(("telemetry", shard, service.telemetry.state()))
-    result_queue.put(("exit", shard))
+    results.send((None, service.telemetry.state()))
 
 
-def _fail_futures(
-    failures: Sequence[Tuple["Future[AlignmentResult]", BaseException]],
-) -> None:
-    """Fail each pending future with its error (call without the lock:
-    future callbacks are user code)."""
-    for future, error in failures:
-        if not future.done():
-            future.set_exception(error)
+#: ``(future, result or error)`` pairs the holder of the lock collects and
+#: resolves after releasing it (future callbacks are user code).
+_Outcomes = List[Tuple["Future[AlignmentResult]", Any]]
+
+
+def _settle(outcomes: _Outcomes) -> None:
+    """Resolve each pending future with its result or error (call without
+    the lock)."""
+    for future, outcome in outcomes:
+        if future.done():
+            continue
+        if isinstance(outcome, BaseException):
+            future.set_exception(outcome)
+        else:
+            future.set_result(outcome)
 
 
 # ----------------------------------------------------------------------
 # the live cluster
 # ----------------------------------------------------------------------
 class _Shard:
-    """Parent-side bookkeeping of one worker process."""
+    """Parent-side bookkeeping of one worker slot."""
 
-    def __init__(self, index: int, batcher: MicroBatcher) -> None:
+    def __init__(
+        self, index: int, batcher: MicroBatcher, faults: Optional[ShardFaults]
+    ) -> None:
         self.index = index
         self.batcher = batcher  # queued, not yet sent to the worker
         self.inflight: Dict[int, ServeRequest] = {}  # sent, not yet completed
         self.futures: Dict[int, "Future[AlignmentResult]"] = {}
-        self.process: Any = None
+        self.process: Any = None  # the live worker; None once the loop reaps it
         self.task_queue: Any = None
-        self.failed = False
-        self.exited = False  # clean worker exit observed
+        self.results: Any = None  # read end of the worker's result pipe
+        self.drained = False  # the worker's final telemetry message arrived
+        self.closing = False  # the worker was handed its drain sentinel
         self.restarts = 0
         self.retiring = False  # draining out of the routable set (scale-down)
-        self.sentinel_sent = False  # dispatcher handed the worker its sentinel
         self.sent = 0  # dispatch-stream index (drop/duplicate fault addressing)
-        self.faults: Optional[ShardFaults] = None  # dispatch-level fault view
+        self.faults = faults  # dispatch-level fault view
         self.fault_armed = False  # worker-side fault triggers already consumed
 
     @property
     def routable(self) -> bool:
-        """Whether the router may place new work here (lock held)."""
-        return not self.failed and not self.retiring
-
-    @property
-    def pending(self) -> int:
-        """Queued + in-flight requests charged against admission budgets."""
-        return len(self.batcher) + len(self.inflight)
+        """Whether new work may be placed here (lock held)."""
+        return self.process is not None and not self.retiring and not self.closing
 
 
 class ClusterService:
@@ -816,12 +840,18 @@ class ClusterService:
     ``submit`` routes through the cluster's :class:`ShardRouter`, applies
     the bounded-admission policy (possibly blocking, rejecting, or
     shedding queued lower-priority work), and parks the request in the
-    target shard's parent-side :class:`MicroBatcher`.  A per-shard
-    dispatcher thread forwards queued requests to the worker while its
-    in-flight window has room (so queued work stays sheddable and
-    preemptable), a single collector thread fans results back to
-    futures, and a monitor thread per shard turns worker death into
-    :class:`ShardFailedError` fan-out / retry / restart.
+    target shard's parent-side :class:`MicroBatcher`.  Everything else
+    runs on one parent thread, the cluster loop: it blocks in
+    :func:`multiprocessing.connection.wait` on each worker's result pipe
+    and process sentinel and on a wake-up pipe that ``submit``,
+    ``scale_to`` and ``shutdown`` write to; forwards queued requests to
+    each worker while its in-flight window has room (so queued work
+    stays sheddable and preemptable); fans results back to futures; and
+    turns worker death into :class:`ShardFailedError` fan-out / retry /
+    restart.  When a worker's sentinel fires, everything it sent is
+    already readable, so the loop reads its pipe to the end first: the
+    worker drained if its final telemetry message arrived, and crashed
+    otherwise.
     """
 
     def __init__(self, config: Optional[ClusterConfig] = None) -> None:
@@ -833,7 +863,9 @@ class ClusterService:
         self._ctx = multiprocessing.get_context(self.config.start_method)
         self._engine_origin: Optional[str] = None
         self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
+        #: Notified by the loop on every pass: queue-admission submitters
+        #: wait here for credit, and ``scale_to`` for a retired worker.
+        self._changed = threading.Condition(self._lock)
         serve = self.config.serve
         self._shards = [
             self._new_shard(index) for index in range(self.config.shards)
@@ -849,10 +881,8 @@ class ClusterService:
             if self.config.max_inflight is not None
             else max(2 * serve.max_batch_size, 2)
         )
-        self._result_queue: Any = None
-        self._dispatchers: List[threading.Thread] = []
-        self._monitors: List[threading.Thread] = []
-        self._collector: Optional[threading.Thread] = None
+        self._loop: Optional[threading.Thread] = None
+        self._wake_r = self._wake_w = -1  # the wake-up pipe, opened by start()
         self._next_id = 0
         self._epoch = time.monotonic()
         self._started = False
@@ -873,65 +903,44 @@ class ClusterService:
     def _new_shard(self, index: int) -> _Shard:
         """A fresh parent-side shard slot (batcher mirrors the config)."""
         serve = self.config.serve
-        shard = _Shard(
+        return _Shard(
             index,
             MicroBatcher(
                 serve.max_batch_size,
                 serve.max_wait_ms,
                 length_aware=serve.length_aware,
             ),
+            None if self.config.faults is None else self.config.faults.shard_faults(index),
         )
-        if self.config.faults is not None:
-            shard.faults = self.config.faults.shard_faults(index)
-        return shard
 
     def start(self) -> "ClusterService":
-        """Spawn the workers and service threads (idempotent)."""
+        """Spawn the workers and the cluster loop (idempotent)."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("cluster has been shut down")
             if self._started:
                 return self
+            engine = self.config.serve.engine
+            origin = _engine_origin(engine)
+            _ensure_engine_shardable(engine, origin, self._ctx.get_start_method())
+            self._engine_origin = origin
+            self._wake_r, self._wake_w = os.pipe()
+            os.set_blocking(self._wake_w, False)
+            # Processes first, the loop thread second: forking after our
+            # own thread exists is the classic fork-with-threads trap.
+            for shard in self._shards:
+                self._spawn_worker(shard)
+            self._loop = threading.Thread(
+                target=self._run, name="repro-cluster-loop", daemon=True
+            )
+            self._loop.start()
             self._started = True
-        engine = self.config.serve.engine
-        origin = _engine_origin(engine)
-        _ensure_engine_shardable(engine, origin, self._ctx.get_start_method())
-        self._engine_origin = origin
-        self._result_queue = self._ctx.Queue()
-        # Processes first, threads second: forking after our own service
-        # threads exist is the classic fork-with-threads trap.
-        for shard in self._shards:
-            self._spawn_worker(shard)
-        self._collector = threading.Thread(
-            target=self._collect_loop, name="repro-cluster-collector", daemon=True
-        )
-        self._collector.start()
-        for shard in self._shards:
-            self._start_shard_threads(shard)
         return self
 
-    def _start_shard_threads(self, shard: _Shard) -> None:
-        """Start (or restart, after slot reuse) one shard's service threads."""
-        dispatcher = threading.Thread(
-            target=self._dispatch_loop,
-            args=(shard,),
-            name=f"repro-cluster-dispatch-{shard.index}",
-            daemon=True,
-        )
-        dispatcher.start()
-        monitor = threading.Thread(
-            target=self._monitor_loop,
-            args=(shard,),
-            name=f"repro-cluster-monitor-{shard.index}",
-            daemon=True,
-        )
-        monitor.start()
-        with self._lock:
-            self._dispatchers.append(dispatcher)
-            self._monitors.append(monitor)
-
     def _spawn_worker(self, shard: _Shard) -> None:
-        """Create (or replace) the worker process of one shard.
+        """Start a worker for ``shard`` with a fresh task queue and result
+        pipe (lock held: no other fork may inherit the pipe's write end,
+        or the pipe would stay open after this worker dies).
 
         The first worker of a shard carries the live (served-count)
         triggers of the configured fault plan; replacements and reused
@@ -945,14 +954,14 @@ class ClusterService:
             delays_after = plan.delays_after(shard.index)
             shard.fault_armed = True
         shard.task_queue = self._ctx.Queue()
+        shard.results, sender = self._ctx.Pipe(duplex=False)
         shard.process = self._ctx.Process(
             target=_shard_worker,
             args=(
-                shard.index,
                 self.config.serve,
                 self._engine_origin,
                 shard.task_queue,
-                self._result_queue,
+                sender,
                 crash_after,
                 delays_after,
             ),
@@ -960,45 +969,51 @@ class ClusterService:
             daemon=True,
         )
         shard.process.start()
+        sender.close()
+        shard.drained = shard.closing = False
+
+    def _wake(self) -> None:
+        """Interrupt the loop's wait (lock held, cluster running)."""
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:
+            pass  # the pipe is full, so the loop is due to wake anyway
 
     def shutdown(self, wait: bool = True) -> None:
-        """Drain every queued request, stop workers and threads.
+        """Drain every queued request, stop the workers and the loop.
 
         Queued requests are flushed to their workers, each worker drains
         its own service before exiting (no request is ever dropped by a
         clean shutdown), and any future left unresolved by a worker that
-        died mid-shutdown fails with :class:`ShardFailedError`.
+        died mid-shutdown fails with :class:`ShardFailedError`.  Every
+        process, pipe and queue the cluster opened is closed before this
+        returns, and every queue's feeder thread joined -- except that of
+        a crashed worker's queue, which its dead reader may have left
+        blocked on a full pipe.
         """
-        with self._wakeup:
+        with self._lock:
+            if self._started and not self._stopping:
+                self._wake()
             self._stopping = True
             self._closed = True
-            started = self._started
-            self._wakeup.notify_all()
-        if not started:
+            self._changed.notify_all()
+        if self._loop is None:
             return
-        for dispatcher in self._dispatchers:
-            dispatcher.join()
-        for shard in self._shards:
-            if shard.process is not None:
-                shard.process.join()
-        for monitor in self._monitors:
-            monitor.join()
-        # Workers flush their queues before exiting, so by now every
-        # result/telemetry/exit message is buffered; the sentinel lands
-        # behind them and the collector drains in order.
-        self._result_queue.put(("stop",))
-        if self._collector is not None:
-            self._collector.join()
-        leftovers: List[Tuple[int, "Future[AlignmentResult]"]] = []
+        self._loop.join()
+        leftovers: _Outcomes = []
         with self._lock:
+            if self._wake_r >= 0:
+                os.close(self._wake_r)
+                os.close(self._wake_w)
+                self._wake_r = self._wake_w = -1
             for shard in self._shards:
-                for request_id, future in shard.futures.items():
-                    leftovers.append((shard.index, future))
+                leftovers += [
+                    (future, ShardFailedError(shard.index))
+                    for future in shard.futures.values()
+                ]
                 shard.futures.clear()
                 shard.inflight.clear()
-        for index, future in leftovers:
-            if not future.done():
-                future.set_exception(ShardFailedError(index))
+        _settle(leftovers)
 
     def __enter__(self) -> "ClusterService":
         return self.start()
@@ -1012,13 +1027,7 @@ class ClusterService:
     def alive_shards(self) -> List[int]:
         """Indices of shards whose worker process is currently healthy."""
         with self._lock:
-            return [
-                shard.index
-                for shard in self._shards
-                if not shard.failed
-                and shard.process is not None
-                and shard.process.is_alive()
-            ]
+            return [shard.index for shard in self._shards if shard.process is not None]
 
     def fail_shard(self, shard: int) -> None:
         """Chaos hook: make one worker die abruptly (``os._exit``).
@@ -1026,13 +1035,15 @@ class ClusterService:
         The worker processes everything already queued to it, then dies
         without draining its service -- exactly the stranding a real
         crash produces, but deterministically placed.  Tests use this to
-        pin the crash-robustness contract.
+        pin the crash-robustness contract.  A shard without a live
+        worker has nothing to crash.
         """
         with self._lock:
-            target = self._shards[shard]
-            if target.task_queue is None:
+            if not self._started:
                 raise RuntimeError("cluster is not started")
-            target.task_queue.put(_CRASH)
+            target = self._shards[shard]
+            if target.process is not None:
+                target.task_queue.put(_CRASH)
 
     # ------------------------------------------------------------------
     # elasticity
@@ -1048,7 +1059,7 @@ class ClusterService:
         source: _Shard,
         requests: Sequence[ServeRequest],
         pick: Callable[[ServeRequest], _Shard],
-        orphans: List[Tuple["Future[AlignmentResult]", BaseException]],
+        orphans: _Outcomes,
     ) -> int:
         """Queue ``requests``, taken off ``source``, on the shards ``pick``
         chooses, futures included (lock held); returns how many changed
@@ -1079,8 +1090,8 @@ class ClusterService:
         Before :meth:`start` this simply re-cuts the (empty) cluster.
         On a running cluster:
 
-        * **grow** -- new worker processes spawn (retired slots are
-          reused once their old worker finishes draining), then the
+        * **grow** -- new worker processes spawn (a retired slot is
+          reused once the loop has reaped its old worker), then the
           wider router is published atomically with the new shard count
           and queued requests whose routed shard changed migrate, so
           placement never straddles two epochs.  Under the ``"stable"``
@@ -1089,8 +1100,8 @@ class ClusterService:
         * **shrink** -- the narrower router is published first, then the
           shards leaving the routable set start *draining*: their queued
           requests are preempted and re-routed (futures travel along),
-          their in-flight work finishes on the old worker, and the
-          dispatcher hands the worker its sentinel so it exits cleanly.
+          their in-flight work finishes on the old worker, and the loop
+          hands the worker its sentinel so it exits cleanly.
           ``shutdown`` still accounts for every request.
 
         Each live resize records one ``resize`` telemetry event with the
@@ -1098,8 +1109,8 @@ class ClusterService:
         """
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        to_spawn: List[_Shard] = []
-        with self._wakeup:
+        orphans: _Outcomes = []
+        with self._lock:
             if self._closed or self._stopping:
                 raise RuntimeError("cluster has been shut down")
             if not self._started:
@@ -1113,31 +1124,23 @@ class ClusterService:
             old = self._active
             if shards == old:
                 return shards
-            if shards > old:
-                while len(self._shards) < shards:
-                    self._shards.append(self._new_shard(len(self._shards)))
-                for index in range(old, shards):
-                    slot = self._shards[index]
-                    if slot.process is not None:
-                        # Reused retired slot: let the old worker finish
-                        # draining before a replacement takes over.
-                        while not (slot.exited or slot.failed):
-                            self._wakeup.wait()
-                        refreshed = self._new_shard(index)
-                        refreshed.sent = slot.sent
-                        refreshed.fault_armed = slot.fault_armed
-                        self._shards[index] = refreshed
-                        slot = refreshed
-                    to_spawn.append(slot)
-        # Grow: spawn processes and threads outside the lock, then publish
-        # the wider epoch atomically.  Shrink: publish the narrower router
-        # first, then drain the leavers.
-        for slot in to_spawn:
-            self._spawn_worker(slot)
-        for slot in to_spawn:
-            self._start_shard_threads(slot)
-        orphans: List[Tuple["Future[AlignmentResult]", BaseException]] = []
-        with self._wakeup:
+            while len(self._shards) < shards:
+                self._shards.append(self._new_shard(len(self._shards)))
+            for index in range(old, shards):
+                slot = self._shards[index]
+                if slot.task_queue is not None:
+                    # Reused slot: its old worker finishes draining first.
+                    while slot.process is not None and not self._stopping:
+                        self._changed.wait()
+                    if self._stopping:
+                        raise RuntimeError("cluster has been shut down")
+                    refreshed = self._new_shard(index)
+                    refreshed.sent = slot.sent
+                    refreshed.fault_armed = slot.fault_armed
+                    self._shards[index] = slot = refreshed
+                self._spawn_worker(slot)
+            # Grow: the wider epoch is published with the new workers.
+            # Shrink: the narrower router first, then the leavers drain.
             self._router = dataclasses.replace(self._router, shards=shards)
             self._active = shards
             moved = 0
@@ -1156,23 +1159,21 @@ class ClusterService:
             else:
                 for slot in self._shards[shards:]:
                     if slot.retiring or slot.process is None:
-                        continue
+                        continue  # a crashed slot's queue was re-routed already
                     slot.retiring = True
-                    if slot.failed:
-                        continue  # the crash path already re-routed its queue
                     queued = slot.batcher.preempt(lambda r: True)
                     moved += self._reroute(slot, queued, self._target_shard, orphans)
             self.telemetry.record_resize(relocated=moved)
-            self._wakeup.notify_all()
-        _fail_futures(orphans)
+            self._wake()
+        _settle(orphans)
         return shards
 
     # ------------------------------------------------------------------
     # submission
     # ------------------------------------------------------------------
     def _target_shard(self, request: ServeRequest) -> _Shard:
-        """The routed shard among the active set, skipping failed and
-        retiring ones (lock held)."""
+        """The routed shard among the active set, skipping shards without
+        a worker and retiring ones (lock held)."""
         task, request_id = request.task, request.request_id
         index = self._router.place(
             task, request_id, lambda shard: self._shards[shard].routable
@@ -1194,7 +1195,7 @@ class ClusterService:
         """
         self.start()
         shed_futures: List["Future[AlignmentResult]"] = []
-        with self._wakeup:
+        with self._lock:
             if self._observer is not None and self._autotune_choice is None:
                 if self._observer.observe(task):
                     # The sample is complete: swap the router in the same
@@ -1224,7 +1225,7 @@ class ClusterService:
                 )
                 if decision.action != "wait":
                     break
-                self._wakeup.wait()
+                self._changed.wait()
             if decision.action == "reject":
                 self.telemetry.record_admission("rejected")
                 raise RequestRejected(
@@ -1247,7 +1248,7 @@ class ClusterService:
             self.telemetry.record_queue_depth(
                 sum(len(s.batcher) for s in self._shards)
             )
-            self._wakeup.notify_all()
+            self._wake()
         for future in shed_futures:  # user callbacks run outside the lock
             future.set_exception(
                 RequestRejected("request shed to admit higher-priority work")
@@ -1260,34 +1261,56 @@ class ClusterService:
         return [future.result() for future in futures]
 
     # ------------------------------------------------------------------
-    # service threads
+    # the cluster loop
     # ------------------------------------------------------------------
-    def _dispatch_loop(self, shard: _Shard) -> None:
-        """Forward queued requests to the worker while credit remains.
+    def _run(self) -> None:
+        """Dispatch, then block until a worker's result pipe or sentinel
+        (or the wake-up pipe) is ready, and handle what arrived; return
+        once a stopping cluster has reaped every worker."""
+        while True:
+            outcomes: _Outcomes = []
+            with self._lock:
+                self._dispatch()
+                pipes = {s.results: s for s in self._shards if s.results is not None}
+                sentinels = {
+                    s.process.sentinel: s for s in self._shards if s.process is not None
+                }
+                if self._stopping and not sentinels:
+                    return
+            ready = connection.wait([self._wake_r, *pipes, *sentinels])
+            with self._lock:
+                if self._wake_r in ready:
+                    os.read(self._wake_r, 4096)
+                for handle in ready:
+                    if handle in pipes:
+                        self._read(pipes[handle], outcomes)
+                for handle in ready:
+                    if handle in sentinels:
+                        self._reap(sentinels[handle], outcomes)
+                self._changed.notify_all()
+            _settle(outcomes)
+
+    def _dispatch(self) -> None:
+        """Send queued requests to each worker while its credit window has
+        room (lock held).  A stopping cluster or a retiring shard instead
+        flushes the whole queue and hands the worker its drain sentinel.
 
         Dispatch-level faults (drop/duplicate, addressed by the shard's
-        0-based send index) fire here -- but never on the final
-        stopping/retiring flush, where a dropped send would have no later
-        dispatch to ride home on (a lost send is latency, never loss).
+        0-based send index) fire here -- but never on that final flush,
+        where a dropped send would have no later dispatch to ride home on
+        (a lost send is latency, never loss).  A ``put`` never blocks (the
+        queue's feeder thread writes the pipe), so a stalled worker cannot
+        stall the loop.
         """
-        while True:
-            sends: List[Tuple[ServeRequest, int]] = []  # (request, copies)
-            with self._wakeup:
-                while True:
-                    if self._stopping or shard.retiring:
-                        # Flush everything still queued (workers drain on
-                        # the sentinel), then hand off and exit.
-                        taken = shard.batcher.take(len(shard.batcher), self._now_ms())
-                        break
-                    if shard.failed:
-                        self._wakeup.wait()
-                        continue
-                    budget = self._window - len(shard.inflight)
-                    if len(shard.batcher) and budget > 0:
-                        taken = shard.batcher.take(budget, self._now_ms())
-                        break
-                    self._wakeup.wait()
-                finishing = self._stopping or shard.retiring
+        for shard in self._shards:
+            if shard.process is None or shard.closing:
+                continue
+            finishing = self._stopping or shard.retiring
+            while True:
+                limit = len(shard.batcher) if finishing else self._window - len(shard.inflight)
+                taken = shard.batcher.take(limit, self._now_ms())
+                if not taken:
+                    break
                 view = shard.faults
                 for request in taken:
                     copies = 1
@@ -1302,127 +1325,89 @@ class ClusterService:
                             self.telemetry.record_fault("duplicated")
                             copies = 2
                     shard.inflight[request.request_id] = request
-                    sends.append((request, copies))
-                if taken:
-                    self.telemetry.record_queue_depth(
-                        sum(len(s.batcher) for s in self._shards)
-                    )
-                if finishing:
-                    # Set before the sentinel ships: once the worker exits
-                    # the monitor must already see this flag (it is what
-                    # distinguishes a drained worker from a crashed one).
-                    shard.sentinel_sent = True
-                queue = shard.task_queue
-            for request, copies in sends:
-                for _ in range(copies):
-                    queue.put((request.request_id, request.task, request.priority))
-            if finishing:
-                queue.put(None)
-                return
-
-    def _collect_loop(self) -> None:
-        """Fan worker messages back to futures and telemetry."""
-        while True:
-            message = self._result_queue.get()
-            kind = message[0]
-            if kind == "stop":
-                return
-            if kind == "telemetry":
-                _, index, state = message
-                with self._lock:
-                    self._shard_sink_states[index] = state
-                continue
-            if kind == "exit":
-                _, index = message
-                with self._wakeup:
-                    self._shards[index].exited = True
-                    self._wakeup.notify_all()
-                continue
-            _, index, request_id, payload = message
-            completion = self._now_ms()
-            with self._wakeup:
-                shard = self._shards[index]
-                request = shard.inflight.pop(request_id, None)
-                future = shard.futures.pop(request_id, None)
-                if kind == "result" and request is not None:
-                    request.result = payload
-                    request.completion_ms = completion
-                self._wakeup.notify_all()
-            if future is not None and not future.done():
-                if kind == "result":
-                    future.set_result(payload)
-                else:
-                    future.set_exception(payload)
-
-    def _monitor_loop(self, shard: _Shard) -> None:
-        """Health check: join the worker, handle death, maybe restart."""
-        while True:
-            process = shard.process
-            process.join()
-            to_fail: List[Tuple["Future[AlignmentResult]", BaseException]] = []
-            with self._wakeup:
-                if shard.sentinel_sent and process.exitcode == 0:
-                    # The sentinel is authoritative: a worker that was
-                    # handed its sentinel and exited cleanly *drained* --
-                    # even if the collector has not yet processed the
-                    # ("exit", shard) marker when join() returns.  Wait
-                    # for the marker instead of declaring a crash (the
-                    # race is routine for scale-down drains, where only
-                    # this shard stops while the cluster keeps serving).
-                    while not shard.exited and not self._stopping:
-                        self._wakeup.wait()
-                    return
-                if self._stopping or shard.exited:
-                    return
-                shard.failed = True
-                exitcode = process.exitcode
-                self.telemetry.record_fault("crashes")
-                # Stranded work: everything still queued (pulled back
-                # through the preempt hook) plus everything in flight.
-                stranded = list(shard.inflight.values())
-                shard.inflight.clear()
-                stranded += shard.batcher.preempt(lambda request: True)
-                stranded.sort(key=lambda request: request.request_id)
-                survivors = [
-                    s for s in self._shards[: self._active]
-                    if s is not shard and s.routable
-                ]
-                if self.config.retry_failed and survivors and stranded:
-                    rotation = itertools.cycle(survivors)
-                    retried = self._reroute(
-                        shard, stranded, lambda _: next(rotation), to_fail
-                    )
-                    self.telemetry.record_admission("retried", retried)
-                else:
-                    error = ShardFailedError(shard.index, exitcode=exitcode)
-                    for request in stranded:
-                        future = shard.futures.pop(request.request_id, None)
-                        if future is not None:
-                            to_fail.append((future, error))
-                # A retiring shard has nothing left to route to it, so a
-                # crash mid-drain re-routes its strands but never earns a
-                # replacement worker.
-                restart = (
-                    shard.restarts < self.config.max_restarts
-                    and not shard.retiring
+                    message = (request.request_id, request.task, request.priority)
+                    for _ in range(copies):
+                        shard.task_queue.put(message)
+                self.telemetry.record_queue_depth(
+                    sum(len(s.batcher) for s in self._shards)
                 )
-                if restart:
-                    shard.restarts += 1
-                self._wakeup.notify_all()
-            _fail_futures(to_fail)  # callbacks outside the lock
-            if not restart:
-                return
+            if finishing:
+                shard.task_queue.put(None)
+                shard.closing = True
+
+    def _read(self, shard: _Shard, outcomes: _Outcomes) -> None:
+        """Take every message waiting on the shard's result pipe, closing
+        the pipe at its end (lock held)."""
+        pipe = shard.results
+        if pipe is None:
+            return
+        try:
+            while pipe.poll():
+                request_id, payload = pipe.recv()
+                if request_id is None:  # the worker's final telemetry
+                    self._shard_sink_states[shard.index] = payload
+                    shard.drained = True
+                    continue
+                shard.inflight.pop(request_id, None)
+                future = shard.futures.pop(request_id, None)
+                if future is not None:  # None: a duplicate's second outcome
+                    outcomes.append((future, payload))
+        except (EOFError, OSError):
+            pipe.close()
+            shard.results = None
+
+    def _reap(self, shard: _Shard, outcomes: _Outcomes) -> None:
+        """The worker's process ended: read its pipe to the end, release
+        its process, pipe and queue, and if it crashed settle what it
+        stranded (lock held).
+
+        The worker sent synchronously, so everything it sent is readable
+        now: it drained if its final telemetry message arrived, and
+        crashed otherwise.  A crash fails the stranded requests with
+        :class:`ShardFailedError`, or re-queues them round-robin on the
+        surviving shards under ``retry_failed``, and restarts the worker
+        (up to ``max_restarts``) for later traffic.
+        """
+        self._read(shard, outcomes)
+        if shard.results is not None:  # no end of file: close it all the same
+            shard.results.close()
+            shard.results = None
+        process = shard.process
+        process.join()
+        exitcode = process.exitcode
+        process.close()
+        shard.process = None
+        queue = shard.task_queue
+        queue.close()
+        if shard.drained:
+            queue.join_thread()
+            return
+        # A dead reader may leave the queue's pipe full: never join its feeder.
+        queue.cancel_join_thread()
+        self.telemetry.record_fault("crashes")
+        stranded = list(shard.inflight.values())
+        shard.inflight.clear()
+        stranded += shard.batcher.preempt(lambda request: True)
+        stranded.sort(key=lambda request: request.request_id)
+        survivors = [s for s in self._shards[: self._active] if s.routable]
+        if self.config.retry_failed and survivors and stranded:
+            rotation = itertools.cycle(survivors)
+            retried = self._reroute(shard, stranded, lambda _: next(rotation), outcomes)
+            self.telemetry.record_admission("retried", retried)
+        else:
+            error = ShardFailedError(shard.index, exitcode=exitcode)
+            for request in stranded:
+                future = shard.futures.pop(request.request_id, None)
+                if future is not None:
+                    outcomes.append((future, error))
+        # A retiring shard has nothing left to route to it and a stopping
+        # cluster nothing left to serve: neither earns a replacement.
+        if (
+            not (self._stopping or shard.retiring)
+            and shard.restarts < self.config.max_restarts
+        ):
+            shard.restarts += 1
             self._spawn_worker(shard)
-            with self._wakeup:
-                shard.failed = False
-                shard.sentinel_sent = False
-                if self._stopping:
-                    # Shutdown raced the restart: the dispatcher already
-                    # sent its sentinel to the dead worker's queue, so
-                    # drain the replacement directly or join() hangs.
-                    shard.sentinel_sent = True
-                    shard.task_queue.put(None)
-                self._wakeup.notify_all()
 
     # ------------------------------------------------------------------
     # telemetry

@@ -40,7 +40,7 @@ Triggers: ``at_ms`` addresses the replay's virtual clock, and
 worker loop; each layer honours its own trigger and ignores the other.
 Drop/duplicate faults address the *dispatch stream* of a shard by
 0-based index -- batch dispatches in the replay DES, per-request sends
-in the live dispatcher -- so the two layers interpret the same plan at
+of the live cluster loop -- so the two layers interpret the same plan at
 their own granularity.
 
 :class:`ShardFaults` is the per-shard view :func:`repro.serve.scheduler.replay`
@@ -177,8 +177,8 @@ class FaultPlan:
     The same plan drives both layers: :func:`~repro.serve.cluster.cluster_replay`
     honours virtual-time triggers (``at_ms``) and dispatch indices on its
     DES, :class:`~repro.serve.cluster.ClusterService` honours served-count
-    triggers (``after_requests``) and dispatch indices on its live
-    dispatcher.  At most one crash per shard -- a restarted worker that
+    triggers (``after_requests``) in its workers and dispatch indices in
+    its cluster loop.  At most one crash per shard -- a restarted worker that
     re-crashes is a crash *loop*, which is a different experiment.
     """
 

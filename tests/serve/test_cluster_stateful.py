@@ -71,8 +71,8 @@ LIVE = ServeConfig(refill="drain", max_batch_size=2, max_wait_ms=1.0)
 DEADLINE_S = 30.0
 
 SETTINGS = settings(
-    max_examples=4,
-    stateful_step_count=12,
+    max_examples=8,
+    stateful_step_count=16,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -276,6 +276,24 @@ class LiveCluster(RuleBasedStateMachine):
         assert faults["delays"] <= len(self.plan.delays)
         assert faults["dropped"] <= len(self.plan.drops)
         assert faults["duplicated"] <= len(self.plan.duplicates)
+
+
+def test_crash_racing_shutdown() -> None:
+    """Regression: a crash racing ``shutdown()``.
+
+    One shard, ``fail_shard(0)``, then ``shutdown()`` while the crash is
+    being handled.  Shutdown used to join a replacement worker that had
+    not been started yet (``AssertionError: can only join a started
+    process``), leaving the cluster's threads running.  The pauses sweep
+    the race window.
+    """
+    children_before = set(multiprocessing.active_children())
+    for step in range(24):
+        cluster = ClusterService(ClusterConfig(serve=LIVE, shards=1)).start()
+        cluster.fail_shard(0)
+        time.sleep(step / 1000.0)
+        _bounded(cluster.shutdown, "shutdown()")
+        assert set(multiprocessing.active_children()) <= children_before
 
 
 @pytest.mark.parametrize("retry", [False, True], ids=["fail-fast", "retry"])
